@@ -23,8 +23,7 @@ from .drazin import (
 from .kernels import (
     ClassificationResult,
     KernelBasis,
-    is_left_x_m_invertible,
-    is_x_m_adjoint,
+    is_member,
     kernel,
     minimal_order,
     transform_matrix,
@@ -54,8 +53,7 @@ __all__ = [
     "ClassificationResult",
     "transform_matrix",
     "kernel",
-    "is_left_x_m_invertible",
-    "is_x_m_adjoint",
+    "is_member",
     "minimal_order",
     "Family",
     "InstanceSpec",

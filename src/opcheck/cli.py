@@ -48,6 +48,20 @@ from .matcore import (
 from .suites import SuiteConfig, available_suites, run_suite
 from .transforms import TransformKind
 
+__all__ = [
+    "EXIT_OK",
+    "EXIT_USAGE",
+    "EXIT_NUMERICAL",
+    "EXIT_VERDICT",
+    "cmd_drazin",
+    "cmd_classify",
+    "cmd_kernel",
+    "cmd_example",
+    "cmd_verify",
+    "build_parser",
+    "main",
+]
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -143,11 +157,11 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
         raise ParseError(f"kernel needs a square matrix, got {a.shape}")
     kind = TransformKind(args.transform)
     sel = PairSelector(args.pair)
-    b = resolve_pair(a, sel, policy)
+    dd = core_nilpotent_decompose(a, policy) if sel.needs_drazin else None
+    b = sel.partner(a, dd.a_d if dd else None)
     basis = kernel(kind, b, a, args.order, policy)
     doc = basis.to_json()
-    if sel in (PairSelector.DRAZIN, PairSelector.DRAZIN_ADJOINT):
-        dd = core_nilpotent_decompose(a, policy)
+    if dd is not None:
         doc["block_norms"] = []
         for x in basis.basis:
             bv = block_view(x, dd)

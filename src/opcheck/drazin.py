@@ -17,10 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditioned, NotSquare
+from .errors import DimensionMismatch, IllConditioned
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
+    _require_square,
+    _spectral_rank,
     adjoint,
     condition,
     frob,
@@ -53,31 +55,27 @@ def _power_rank(ak: np.ndarray, k: int, base_scale: float, policy: NumericPolicy
     singular values are also floored at atol times the natural magnitude
     ||A||^k of the power.
     """
-    if ak.size == 0:
-        return 0
     s = np.linalg.svd(ak, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = max(policy.rank_rtol * s[0], policy.atol * max(1.0, base_scale) ** k)
-    return int(np.count_nonzero(s > cutoff))
+    return _spectral_rank(s, policy.rank_rtol, policy.atol * max(1.0, base_scale) ** k)
+
+
+def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray, int]:
+    """Index p of a square A, together with A^p and its rank."""
+    n = a.shape[0]
+    base = float(np.linalg.norm(a, 2)) if n else 0.0
+    ak, rank_k = np.eye(n, dtype=np.complex128), n
+    for k in range(n):
+        nxt = ak @ a
+        r = _power_rank(nxt, k + 1, base, policy)
+        if r == rank_k:
+            return k, ak, rank_k
+        ak, rank_k = nxt, r
+    return n, ak, rank_k  # ranks strictly decrease at most n times
 
 
 def index_of(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Least k >= 0 with rank(A^k) = rank(A^(k+1)); 0 means invertible."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    base = float(np.linalg.norm(a, 2)) if n else 0.0
-    prev_rank = n
-    ak = np.eye(n, dtype=np.complex128)
-    for k in range(n + 1):
-        ak = ak @ a
-        r = _power_rank(ak, k + 1, base, policy)
-        if r == prev_rank:
-            return k
-        prev_rank = r
-    return n  # ranks strictly decrease at most n times
+    return _index_power(_require_square(np.asarray(a, dtype=np.complex128)), policy)[0]
 
 
 def axiom_residuals(a: np.ndarray, a_d: np.ndarray, p: int) -> tuple[float, float, float]:
@@ -143,11 +141,9 @@ class DrazinData:
 def core_nilpotent_decompose(
     a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY
 ) -> DrazinData:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+    a = _require_square(np.asarray(a, dtype=np.complex128))
     n = a.shape[0]
-    p = index_of(a, policy)
+    p, ap, r = _index_power(a, policy)
 
     if p == 0:
         s = np.eye(n, dtype=np.complex128)
@@ -162,14 +158,9 @@ def core_nilpotent_decompose(
             dim_h2=0,
         )
 
-    ap = power(a, p)
-    u, sv, vh = np.linalg.svd(ap, full_matrices=True)
-    base = float(np.linalg.norm(a, 2))
-    if sv.size == 0 or sv[0] == 0.0:
-        r = 0
-    else:
-        cutoff = max(policy.rank_rtol * sv[0], policy.atol * max(1.0, base) ** p)
-        r = int(np.count_nonzero(sv > cutoff))
+    # the first r left singular vectors of A^p span its range, the rest of
+    # the right ones its null space; r is the rank the index was found with
+    u, _, vh = np.linalg.svd(ap, full_matrices=True)
     s = np.hstack([u[:, :r], vh[r:].conj().T])
 
     kappa = condition(s)
@@ -240,20 +231,30 @@ class PairSelector(str, Enum):
     DRAZIN = "drazin"
     DRAZIN_ADJOINT = "drazin-adjoint"
 
+    @property
+    def needs_drazin(self) -> bool:
+        return self in (PairSelector.DRAZIN, PairSelector.DRAZIN_ADJOINT)
+
+    def partner(self, a: np.ndarray, a_d: np.ndarray | None = None) -> np.ndarray:
+        """The operator this selector pairs with A; ``a_d`` is A's Drazin
+        inverse, which only the Drazin selectors read."""
+        if self.needs_drazin and a_d is None:
+            raise ValueError(f"selector {self.value!r} needs the Drazin inverse of A")
+        if self == PairSelector.SELF:
+            return np.array(a, dtype=np.complex128)
+        if self == PairSelector.ADJOINT:
+            return adjoint(a)
+        if self == PairSelector.DRAZIN:
+            return a_d
+        return adjoint(a_d)
+
 
 def resolve_pair(
     a: np.ndarray, sel: PairSelector, policy: NumericPolicy = DEFAULT_POLICY
 ) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     sel = PairSelector(sel)
-    if sel == PairSelector.SELF:
-        return a.copy()
-    if sel == PairSelector.ADJOINT:
-        return adjoint(a)
-    a_d = drazin_inverse(a, policy)
-    if sel == PairSelector.DRAZIN:
-        return a_d
-    return adjoint(a_d)
+    return sel.partner(a, drazin_inverse(a, policy) if sel.needs_drazin else None)
 
 
 def axiom_threshold(a: np.ndarray, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:

@@ -21,20 +21,19 @@ from .errors import DimensionMismatch, ToleranceInconsistency
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
+    _spectral_rank,
     frob,
     matrix_to_json,
-    spectral_norm,
     unvectorize,
 )
-from .transforms import TransformKind, defect_threshold, transform
+from .transforms import TransformKind, defect_growth, defect_threshold, transform
 
 __all__ = [
     "KernelBasis",
     "ClassificationResult",
     "transform_matrix",
     "kernel",
-    "is_left_x_m_invertible",
-    "is_x_m_adjoint",
+    "is_member",
     "minimal_order",
 ]
 
@@ -119,15 +118,12 @@ def kernel(
     # A map whose norm sits below the defect zero threshold annihilates
     # every weight up to rounding; the relative cutoff alone cannot see
     # that, so it gets an absolute floor at the package-wide zero scale.
-    zero_floor = policy.zero_threshold(
-        (1.0 + spectral_norm(a) * spectral_norm(b)) ** m
-    )
-    if sv.size == 0 or sv[0] <= zero_floor:
-        rank_ = 0
-        cutoff = zero_floor
-    else:
+    zero_floor = policy.zero_threshold(defect_growth(b, a) ** m)
+    if sv.size and sv[0] > zero_floor:
         cutoff = policy.rank_rtol * sv[0]
-        rank_ = int(np.count_nonzero(sv > cutoff))
+        rank_ = _spectral_rank(sv, policy.rank_rtol)
+    else:
+        cutoff, rank_ = zero_floor, 0
     dim = tm.shape[0] - rank_
     # Gap between the smallest kept and the largest discarded singular value;
     # a small ratio flags an unreliable kernel dimension.
@@ -141,17 +137,13 @@ def kernel(
     )
 
 
-def is_left_x_m_invertible(
-    b, a, x, m: int, policy: NumericPolicy = DEFAULT_POLICY
+def is_member(
+    kind: TransformKind, b, a, x, m: int, policy: NumericPolicy = DEFAULT_POLICY
 ) -> bool:
-    """True iff the order-m triangle defect of (B, A) on X vanishes."""
-    d = transform(TransformKind.TRIANGLE, b, a, x, m)
-    return frob(d) <= defect_threshold(policy, b, a, x, m)
-
-
-def is_x_m_adjoint(b, a, x, m: int, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True iff the order-m delta defect of (B, A) on X vanishes."""
-    d = transform(TransformKind.DELTA, b, a, x, m)
+    """True iff the order-m defect of (B, A) on X vanishes: for the triangle
+    transform A is left (X,m)-invertible by B, for delta B is an
+    (X,m)-adjoint of A."""
+    d = transform(kind, b, a, x, m)
     return frob(d) <= defect_threshold(policy, b, a, x, m)
 
 
@@ -192,13 +184,16 @@ def minimal_order(
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     kind = TransformKind(kind)
+    # the defect of order k is one step applied to the defect of order k-1
+    growth, x_norm = defect_growth(b, a), frob(x)
     residuals: list[float] = []
     thresholds: list[float] = []
     passing: list[bool] = []
+    d = x
     for k in range(1, bound + 1):
-        d = transform(kind, b, a, x, k)
+        d = transform(kind, b, a, d, 1)
         residuals.append(frob(d))
-        thresholds.append(defect_threshold(policy, b, a, x, k))
+        thresholds.append(policy.zero_threshold(growth**k * x_norm))
         passing.append(residuals[-1] <= thresholds[-1])
     first = next((i for i, ok in enumerate(passing) if ok), None)
     if first is not None:

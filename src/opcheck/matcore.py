@@ -27,11 +27,8 @@ __all__ = [
     "DEFAULT_POLICY",
     "as_matrix",
     "adjoint",
-    "matmul",
     "power",
     "rank",
-    "null_basis",
-    "range_basis",
     "inverse",
     "eigenvalues",
     "vectorize",
@@ -101,14 +98,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def power(m: np.ndarray, k: int) -> np.ndarray:
     """``m**k`` for integer k >= 0 by repeated squaring; ``m**0`` is I."""
     m = _require_square(np.asarray(m, dtype=np.complex128))
@@ -133,34 +122,17 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def rank(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
-    """Number of singular values above ``rank_rtol`` times the largest."""
-    s = _singular_values(np.asarray(m, dtype=np.complex128))
+def _spectral_rank(s: np.ndarray, rtol: float, floor: float = 0.0) -> int:
+    """Rank from descending singular values: the number above
+    ``max(rtol * s[0], floor)``, and 0 for an empty or zero spectrum."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > policy.rank_rtol * s[0]))
+    return int(np.count_nonzero(s > max(rtol * s[0], floor)))
 
 
-def null_basis(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Orthonormal columns spanning the (numerical) kernel of m."""
-    m = np.asarray(m, dtype=np.complex128)
-    rows, cols = m.shape
-    if m.size == 0:
-        # 0xN maps kill everything; Nx0 maps have nothing to kill.
-        return np.eye(cols, dtype=np.complex128) if rows == 0 else np.zeros((cols, 0), np.complex128)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    r = 0 if (s.size == 0 or s[0] == 0.0) else int(np.count_nonzero(s > policy.rank_rtol * s[0]))
-    return vh[r:].conj().T
-
-
-def range_basis(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Orthonormal columns spanning the column space of m."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=True)
-    r = 0 if (s.size == 0 or s[0] == 0.0) else int(np.count_nonzero(s > policy.rank_rtol * s[0]))
-    return u[:, :r]
+def rank(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
+    """Number of singular values above ``rank_rtol`` times the largest."""
+    return _spectral_rank(_singular_values(np.asarray(m, dtype=np.complex128)), policy.rank_rtol)
 
 
 def inverse(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -37,6 +37,7 @@ from .errors import (
     UnknownSuite,
 )
 from .generators import (
+    _cgauss,
     make_ab_zero_pair,
     make_commuting_core_weight,
     make_commuting_quadruple,
@@ -145,6 +146,7 @@ class SuiteReport:
     max_residual: float = 0.0
     max_ratio: float = 0.0
     anomalies: list = field(default_factory=list)
+    generation_errors: list = field(default_factory=list)
 
     @property
     def verdict(self) -> str:
@@ -162,6 +164,7 @@ class SuiteReport:
             "max_residual": self.max_residual,
             "max_ratio": self.max_ratio,
             "anomalies": self.anomalies,
+            "generation_errors": self.generation_errors,
             "verdict": self.verdict,
         }
 
@@ -176,10 +179,6 @@ def _dim(rng, lo: int, hi: int) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _zt(policy: NumericPolicy, scale: float) -> float:
-    return policy.zero_threshold(scale)
-
-
 _PARTNER = {
     PairSelector.SELF: PairSelector.DRAZIN,
     PairSelector.DRAZIN: PairSelector.SELF,
@@ -187,16 +186,7 @@ _PARTNER = {
     PairSelector.DRAZIN_ADJOINT: PairSelector.ADJOINT,
 }
 
-_SELECTORS = (
-    PairSelector.SELF,
-    PairSelector.ADJOINT,
-    PairSelector.DRAZIN,
-    PairSelector.DRAZIN_ADJOINT,
-)
-
-
-def _cgauss(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+_SELECTORS = tuple(PairSelector)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +264,7 @@ def _trial_drazin_axioms(cfg, rng, extras, trial):
         ("axiom_inner_inverse", r2, thr, detail),
         ("axiom_index_power", r3, thr, detail),
         ("index_match", abs(dd.p - expected), 0.5, detail),
-        ("block_reconstruction", frob(recon - a), _zt(cfg.policy, condition(dd.s) * frob(a)), detail),
+        ("block_reconstruction", frob(recon - a), policy.zero_threshold(condition(dd.s) * frob(a)), detail),
     ]
 
 
@@ -320,7 +310,7 @@ def _trial_prop1(cfg, rng, extras, trial):
             lhs = transform(tkind, b_inv, a_inv, x, m)
             rhs = (-1) ** m * power(b_inv, m) @ transform(tkind, b, a, x, m) @ power(a_inv, m)
             checks.append(
-                (f"inverse_identity_{tkind.value}", frob(lhs - rhs), _zt(policy, scale), detail)
+                (f"inverse_identity_{tkind.value}", frob(lhs - rhs), policy.zero_threshold(scale), detail)
             )
     else:
         n = _dim(rng, 2, cfg.dim_max)
@@ -542,7 +532,7 @@ def _trial_remark2(cfg, rng, extras, trial):
         scale = n * (1.0 + frob(a)) ** 2
         h = (a + adjoint(a)) / 2
         return [
-            ("order2_trace_identity", gap, _zt(policy, scale), {"n": n}),
+            ("order2_trace_identity", gap, policy.zero_threshold(scale), {"n": n}),
             (
                 "selfadjoint_is_order2",
                 frob(selfadjoint_defect(h, eye(n), 2)),
@@ -595,7 +585,7 @@ def _trial_no_left_m_inv(cfg, rng, extras, trial):
     ident = eye(a.shape[0])
     checks = []
     for sel in (PairSelector.DRAZIN, PairSelector.DRAZIN_ADJOINT):
-        b = resolve_pair(a, sel, policy)
+        b = sel.partner(a, dd.a_d)
         d = triangle(b, a, ident, m)
         bv = block_view(d, dd)
         sign = (-1) ** m
@@ -604,7 +594,7 @@ def _trial_no_left_m_inv(cfg, rng, extras, trial):
             (
                 "nil_block_identity",
                 frob(bv.x22 - sign * eye(dd.dim_h2)),
-                _zt(policy, condition(dd.s) * defect_scale(b, a, ident, m)),
+                policy.zero_threshold(condition(dd.s) * defect_scale(b, a, ident, m)),
                 detail,
             )
         )
@@ -625,12 +615,12 @@ def _trial_thm1(cfg, rng, extras, trial):
     checks = []
     nonempty = 0
     for sel in _SELECTORS:
-        b = resolve_pair(a, sel, policy)
+        b = sel.partner(a, dd.a_d)
         basis = kernel(TransformKind.TRIANGLE, b, a, m, policy)
         if basis.dim == 0:
             continue
         nonempty += 1
-        cmat = resolve_pair(a, _PARTNER[sel], policy)
+        cmat = _PARTNER[sel].partner(a, dd.a_d)
         detail = {"selector": sel.value, "m": m, "p": p, "kernel_dim": basis.dim}
         # basis elements are unit Frobenius norm, so one threshold covers all
         delta_thr = defect_threshold(policy, cmat, a, basis.basis[0], m)
@@ -781,14 +771,14 @@ def _trial_thm4(cfg, rng, extras, trial):
     bb = block_view(b, dd)
     b_leak = max(frob(bb.x11), frob(bb.x12), frob(bb.x21))
     checks.append(
-        ("b_vanishes_on_core", b_leak, _zt(policy, condition(dd.s) * max(1.0, frob(b))), detail)
+        ("b_vanishes_on_core", b_leak, policy.zero_threshold(condition(dd.s) * max(1.0, frob(b))), detail)
     )
     t = block_view(apb, dd)
     checks.append(
         (
             "sum_block_diagonal",
             max(frob(t.x12), frob(t.x21)),
-            _zt(policy, condition(dd.s) * max(1.0, frob(apb))),
+            policy.zero_threshold(condition(dd.s) * max(1.0, frob(apb))),
             detail,
         )
     )
@@ -802,7 +792,7 @@ def _trial_thm4(cfg, rng, extras, trial):
         dd,
     )
     scale = condition(dd.s) ** 2 * (1.0 + frob(apb_d) + frob(formula))
-    checks.append(("drazin_block_formula", frob(apb_d - formula), _zt(policy, scale), detail))
+    checks.append(("drazin_block_formula", frob(apb_d - formula), policy.zero_threshold(scale), detail))
     return checks
 
 
@@ -914,5 +904,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         max_residual=max_residual,
         max_ratio=max_ratio,
         anomalies=extras.get("anomalies", []),
+        generation_errors=extras.get("generation_errors", []),
     )
     return report

@@ -2,26 +2,24 @@
 
 For square matrices B, A of equal size, order m >= 1 and a weight X:
 
-* ``triangle(B, A, X, m)`` is the m-th power of the map ``X -> B X A - X``,
-  written out as the binomial sum  sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j).
+* ``triangle(B, A, X, m)`` is the m-th power of the map ``X -> B X A - X``.
   Its vanishing says A is left (X,m)-invertible by B; with B = A* and
   X = I it is the classical m-isometry defect.
 
-* ``delta(B, A, X, m)`` is the m-th power of the map ``X -> B X - X A``,
-  i.e.  sum_j (-1)^j C(m,j) B^(m-j) X A^j.  Its vanishing makes B an
-  (X,m)-adjoint of A; with B = A*, X = I it is the m-selfadjointness
-  defect.
+* ``delta(B, A, X, m)`` is the m-th power of the map ``X -> B X - X A``.
+  Its vanishing makes B an (X,m)-adjoint of A; with B = A*, X = I it is
+  the m-selfadjointness defect.
 
-The one-step maps are the canonical semantics; the binomial sums are the
-optimized equal implementation and the two are cross-checked by tests.
-Binomial coefficients are exact integers.
+Both are evaluated by applying the one-step map m times, which is the only
+implementation. The paper writes them as binomial sums,
+sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j) and sum_j (-1)^j C(m,j) B^(m-j) X A^j;
+those sums are kept in the tests as the oracle the iteration is checked
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from math import comb
 
 import numpy as np
 
@@ -30,14 +28,12 @@ from .matcore import adjoint, frob, spectral_norm
 
 __all__ = [
     "TransformKind",
-    "TransformInstance",
     "triangle",
     "delta",
     "transform",
-    "transform_apply",
-    "transform_iterated",
     "isometry_defect",
     "selfadjoint_defect",
+    "defect_growth",
     "defect_scale",
     "defect_threshold",
 ]
@@ -48,98 +44,39 @@ class TransformKind(str, Enum):
     DELTA = "delta"
 
 
-def _check_operands(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> int:
+def _operands(b, a, x, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
+    b, a, x = (np.asarray(t, dtype=np.complex128) for t in (b, a, x))
     n = a.shape[0] if a.ndim == 2 else -1
     for name, mat in (("B", b), ("A", a), ("X", x)):
         if mat.ndim != 2 or mat.shape != (n, n):
             raise DimensionMismatch(
                 f"{name} must be square of size {n}, got shape {mat.shape}"
             )
-    return n
-
-
-def _powers(m: np.ndarray, upto: int) -> list[np.ndarray]:
-    out = [np.eye(m.shape[0], dtype=np.complex128)]
-    for _ in range(upto):
-        out.append(out[-1] @ m)
-    return out
+    return b, a, x
 
 
 def triangle(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j)."""
-    b, a, x = (np.asarray(t, dtype=np.complex128) for t in (b, a, x))
-    n = _check_operands(b, a, x, m)
-    bp, ap = _powers(b, m), _powers(a, m)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for j in range(m + 1):
-        term = bp[m - j] @ x @ ap[m - j]
-        acc += (-1) ** j * comb(m, j) * term
-    return acc
+    """The m-th power of X -> B X A - X, applied to X."""
+    b, a, x = _operands(b, a, x, m)
+    for _ in range(m):
+        x = b @ x @ a - x
+    return x
 
 
 def delta(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """sum_j (-1)^j C(m,j) B^(m-j) X A^j."""
-    b, a, x = (np.asarray(t, dtype=np.complex128) for t in (b, a, x))
-    n = _check_operands(b, a, x, m)
-    bp, ap = _powers(b, m), _powers(a, m)
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for j in range(m + 1):
-        term = bp[m - j] @ x @ ap[j]
-        acc += (-1) ** j * comb(m, j) * term
-    return acc
+    """The m-th power of X -> B X - X A, applied to X."""
+    b, a, x = _operands(b, a, x, m)
+    for _ in range(m):
+        x = b @ x - x @ a
+    return x
 
 
 def transform(kind: TransformKind, b, a, x, m: int) -> np.ndarray:
-    if kind == TransformKind.TRIANGLE:
+    if TransformKind(kind) == TransformKind.TRIANGLE:
         return triangle(b, a, x, m)
     return delta(b, a, x, m)
-
-
-@dataclass(frozen=True, eq=False)
-class TransformInstance:
-    """A fixed (kind, B, A, m) acting on weights X of the shared size."""
-
-    kind: TransformKind
-    b: np.ndarray
-    a: np.ndarray
-    m: int
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.complex128)
-        a = np.asarray(self.a, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
-            raise DimensionMismatch(
-                f"B and A must be square of equal size, got {b.shape} and {a.shape}"
-            )
-        if self.m < 1:
-            raise ValueError(f"order must be >= 1, got {self.m}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", a.shape[0])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return transform(self.kind, self.b, self.a, x, self.m)
-
-
-def transform_apply(inst: TransformInstance, x: np.ndarray) -> np.ndarray:
-    """One application of the defining one-step map."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (inst.n, inst.n):
-        raise DimensionMismatch(f"weight must have shape {(inst.n, inst.n)}")
-    if inst.kind == TransformKind.TRIANGLE:
-        return inst.b @ x @ inst.a - x
-    return inst.b @ x - x @ inst.a
-
-
-def transform_iterated(inst: TransformInstance, x: np.ndarray) -> np.ndarray:
-    """m-fold application of the one-step map; agrees with the binomial sum."""
-    out = np.asarray(x, dtype=np.complex128)
-    for _ in range(inst.m):
-        out = transform_apply(inst, out)
-    return out
 
 
 def isometry_defect(a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -152,13 +89,20 @@ def selfadjoint_defect(a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return delta(adjoint(a), a, x, m)
 
 
+def defect_growth(b: np.ndarray, a: np.ndarray) -> float:
+    """1 + ||A|| ||B||, the most one step of either map can grow a weight.
+
+    An order-m defect of X is therefore at most ``growth**m * ||X||_F``.
+    """
+    return 1.0 + spectral_norm(a) * spectral_norm(b)
+
+
 def defect_scale(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> float:
     """Worst-case growth of an order-m defect: (1 + ||A|| ||B||)^m ||X||_F.
 
-    Used as the scale in every zero test of a transform residual so that
-    the tests stay invariant under rescaling of the operands.
+    Used as the scale in every zero test of a transform residual.
     """
-    return (1.0 + spectral_norm(a) * spectral_norm(b)) ** m * frob(x)
+    return defect_growth(b, a) ** m * frob(x)
 
 
 def defect_threshold(policy, b, a, x, m: int) -> float:

@@ -133,20 +133,20 @@ class TestMembership:
     def test_identity_pair_always_member(self):
         rng = rng_for(2, 102)
         x = _cgauss(rng, 3)
-        assert kn.is_left_x_m_invertible(mc.eye(3), mc.eye(3), x, 2, P)
+        assert kn.is_member(TK.TRIANGLE, mc.eye(3), mc.eye(3), x, 2, P)
 
     def test_jordan_isometry_orders(self):
         b = mc.adjoint(JORDAN2)
-        assert kn.is_left_x_m_invertible(b, JORDAN2, mc.eye(2), 3, P)
-        assert not kn.is_left_x_m_invertible(b, JORDAN2, mc.eye(2), 2, P)
+        assert kn.is_member(TK.TRIANGLE, b, JORDAN2, mc.eye(2), 3, P)
+        assert not kn.is_member(TK.TRIANGLE, b, JORDAN2, mc.eye(2), 2, P)
 
     def test_adjoint_membership(self):
         rng = rng_for(3, 103)
         a = _cgauss(rng, 3)
-        assert kn.is_x_m_adjoint(a, a, mc.eye(3), 2, P)
+        assert kn.is_member(TK.DELTA, a, a, mc.eye(3), 2, P)
         h = (a + mc.adjoint(a)) / 2
-        assert kn.is_x_m_adjoint(mc.adjoint(h), h, mc.eye(3), 1, P)
-        assert not kn.is_x_m_adjoint(mc.adjoint(E12), E12, mc.eye(2), 2, P)
+        assert kn.is_member(TK.DELTA, mc.adjoint(h), h, mc.eye(3), 1, P)
+        assert not kn.is_member(TK.DELTA, mc.adjoint(E12), E12, mc.eye(2), 2, P)
 
 
 class TestMinimalOrder:

@@ -70,6 +70,20 @@ def test_generation_failures_counted_separately(monkeypatch):
     assert rep.verdict == "fail"  # 5 of 9 skipped busts the budget
 
 
+def test_generation_errors_reach_the_report(monkeypatch):
+    def one_bad_draw(cfg, rng, extras, trial):
+        if trial == 1:
+            raise GenerationFailed("synthetic draw failure")
+        return [("ok", 0.0, 1.0, {})]
+
+    monkeypatch.setitem(su._SUITES, "thm4", one_bad_draw)
+    rep = run_suite(SuiteConfig(suite="thm4", trials=4, seed=0))
+    expected = [{"trial": 1, "error": "synthetic draw failure"}]
+    assert rep.generation_failures == 1
+    assert rep.generation_errors == expected
+    assert json.loads(json.dumps(rep.to_json()))["generation_errors"] == expected
+
+
 def test_failed_clause_recorded(monkeypatch):
     def failing(cfg, rng, extras, trial):
         return [("broken_clause", 1.0, 1e-9, {"trial": trial})]

@@ -1,5 +1,5 @@
-"""Tests for the weighted transforms: frozen small cases plus the
-binomial-sum / iterated-map cross-check."""
+"""Tests for the weighted transforms: frozen small cases plus a check of
+the one-step iteration against the binomial-sum oracle."""
 
 import math
 
@@ -9,6 +9,8 @@ import pytest
 from opcheck import matcore as mc
 from opcheck import transforms as tf
 from opcheck.errors import DimensionMismatch
+
+from binomial import binomial_transform
 
 P = mc.DEFAULT_POLICY
 JORDAN2 = np.array([[1, 1], [0, 1]], dtype=complex)
@@ -24,7 +26,7 @@ def test_triangle_identity_pair_vanishes():
     rng = np.random.default_rng(0)
     for m in (1, 2, 5):
         x = _cgauss(rng, 3)
-        # exact zero in exact arithmetic; floats leave binomial crumbs
+        # exact zero in exact arithmetic
         assert mc.frob(tf.triangle(mc.eye(3), mc.eye(3), x, m)) <= 2.0**m * 1e-14
 
 
@@ -59,10 +61,8 @@ def test_delta_jordan_order3_vanishes():
 def test_one_step_definitions():
     rng = np.random.default_rng(2)
     b, a, x = (_cgauss(rng, 3) for _ in range(3))
-    tri = tf.TransformInstance(tf.TransformKind.TRIANGLE, b, a, 1)
-    dlt = tf.TransformInstance(tf.TransformKind.DELTA, b, a, 1)
-    np.testing.assert_allclose(tf.transform_apply(tri, x), b @ x @ a - x, atol=1e-14)
-    np.testing.assert_allclose(tf.transform_apply(dlt, x), b @ x - x @ a, atol=1e-14)
+    np.testing.assert_allclose(tf.triangle(b, a, x, 1), b @ x @ a - x, atol=1e-14)
+    np.testing.assert_allclose(tf.delta(b, a, x, 1), b @ x - x @ a, atol=1e-14)
 
 
 def test_binomial_matches_iterated_on_random_instances():
@@ -72,9 +72,8 @@ def test_binomial_matches_iterated_on_random_instances():
         m = int(rng.integers(1, 6))
         b, a, x = (_cgauss(rng, n) for _ in range(3))
         for kind in tf.TransformKind:
-            inst = tf.TransformInstance(kind, b, a, m)
-            direct = tf.transform(kind, b, a, x, m)
-            stepped = tf.transform_iterated(inst, x)
+            stepped = tf.transform(kind, b, a, x, m)
+            direct = binomial_transform(kind, b, a, x, m)
             tol = P.rtol * tf.defect_scale(b, a, x, m)
             assert mc.frob(direct - stepped) <= max(tol, 1e-12)
 
@@ -146,9 +145,4 @@ def test_order_must_be_positive():
     with pytest.raises(ValueError):
         tf.triangle(I2, I2, I2, 0)
     with pytest.raises(ValueError):
-        tf.TransformInstance(tf.TransformKind.DELTA, I2, I2, 0)
-
-
-def test_instance_validates_shapes():
-    with pytest.raises(DimensionMismatch):
-        tf.TransformInstance(tf.TransformKind.TRIANGLE, mc.eye(2), mc.eye(3), 1)
+        tf.delta(I2, I2, I2, 0)
