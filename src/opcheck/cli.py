@@ -157,11 +157,19 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
         raise ParseError(f"kernel needs a square matrix, got {a.shape}")
     kind = TransformKind(args.transform)
     sel = PairSelector(args.pair)
-    dd = core_nilpotent_decompose(a, policy) if sel.needs_drazin else None
+    # every partner is block diagonal in A's core-nilpotent splitting, which
+    # lets the kernel split; when A cannot be decomposed, the self and
+    # adjoint pairs take the one dense SVD
+    try:
+        dd = core_nilpotent_decompose(a, policy)
+    except (IllConditioned, Singular):
+        if sel.needs_drazin:
+            raise
+        dd = None
     b = sel.partner(a, dd.a_d if dd else None)
-    basis = kernel(kind, b, a, args.order, policy)
+    basis = kernel(kind, b, a, args.order, policy, dd)
     doc = basis.to_json()
-    if dd is not None:
+    if sel.needs_drazin:
         doc["block_norms"] = []
         for x in basis.basis:
             bv = block_view(x, dd)

@@ -100,7 +100,9 @@ class DrazinData:
     ``s`` holds an orthonormal basis of range(A^p) in its first ``dim_h1``
     columns and an orthonormal basis of null(A^p) in the rest;
     ``s_inv @ a @ s`` is block diagonal with blocks ``a1`` (invertible) and
-    ``a2`` (p-nilpotent).
+    ``a2`` (p-nilpotent). ``cond_s`` is the 2-norm condition number of
+    ``s``; it is 1 up to rounding exactly when the two subspaces are
+    orthogonal, i.e. when ``s`` is unitary.
     """
 
     p: int
@@ -111,6 +113,7 @@ class DrazinData:
     a2: np.ndarray
     dim_h1: int
     dim_h2: int
+    cond_s: float
 
     @property
     def n(self) -> int:
@@ -126,6 +129,7 @@ class DrazinData:
             "index": self.p,
             "dim_core": self.dim_h1,
             "dim_nil": self.dim_h2,
+            "core_basis_condition": self.cond_s,
             "drazin_inverse": matrix_to_json(self.a_d),
         }
         if a is not None:
@@ -156,6 +160,7 @@ def core_nilpotent_decompose(
             a2=np.zeros((0, 0), np.complex128),
             dim_h1=n,
             dim_h2=0,
+            cond_s=1.0,
         )
 
     # the first r left singular vectors of A^p span its range, the rest of
@@ -184,7 +189,7 @@ def core_nilpotent_decompose(
     core[:r, :r] = a1_inv
     a_d = s @ core @ s_inv
     return DrazinData(
-        p=p, a_d=a_d, s=s, s_inv=s_inv, a1=a1, a2=a2, dim_h1=r, dim_h2=n - r
+        p=p, a_d=a_d, s=s, s_inv=s_inv, a1=a1, a2=a2, dim_h1=r, dim_h2=n - r, cond_s=kappa
     )
 
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drazin import drazin_inverse, index_of
+from .drazin import core_nilpotent_decompose, drazin_inverse, index_of
 from .errors import GenerationFailed, InvalidOrder
 from .kernels import kernel
 from .matcore import (
@@ -150,6 +150,9 @@ class GeneratedInstance:
     matrices: dict
     certified: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    # core-nilpotent decompositions made while certifying, by matrix name;
+    # handed to consumers so they need not decompose again, never serialised
+    drazin: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -783,8 +786,10 @@ def make_disjoint_quadruple(
             u = random_unitary(sum(dims), rng)
             a, b, x, y = (u @ t @ adjoint(u) for t in (a, b, x, y))
 
+        decomposed = {}
         if flavor == "triangle-drazin":
-            ba_full = adjoint(drazin_inverse(a, policy))
+            decomposed["A"] = core_nilpotent_decompose(a, policy)
+            ba_full = adjoint(decomposed["A"].a_d)
             bb_full = adjoint(drazin_inverse(b, policy))
         else:
             ba_full, bb_full = adjoint(a), adjoint(b)
@@ -817,6 +822,7 @@ def make_disjoint_quadruple(
                 "n": n,
                 "xy_norm": frob(x @ y),
             },
+            drazin=decomposed,
         )
 
     return _with_retries(build)

@@ -4,9 +4,20 @@ class membership tests, and minimal-order search.
 Under column-major vectorization, ``vec(B X A) = (A^T kron B) vec(X)``, so
 both transforms become n^2 x n^2 matrices acting on vec(X). The kernel of
 that matrix is the full space of weights X annihilated by the transform;
-it is extracted by dense SVD with the policy's relative cutoff, and the
-gap between accepted and rejected singular values is reported so callers
-can spot unreliable dimensions.
+it is extracted by SVD with the policy's relative cutoff, and the gap
+between accepted and rejected singular values is reported so callers can
+spot unreliable dimensions.
+
+Given A's core-nilpotent decomposition, :func:`kernel` splits the weight
+space when that splitting is unitary (``cond_s - 1 <= rank_rtol``). Then
+S^* B S and S^* A S are block diagonal for every partner B of A (A, A^*,
+A_d, A_d^*), and in the coordinates Y = S^* X S the transform maps each
+block Y_ij to transform(B_i, A_j, Y_ij) on its own. The change of
+coordinates vec(X) -> vec(S^* X S) is unitary, so the four block maps
+together have exactly the singular values of the n^2 x n^2 map: one SVD
+per block, of size n_i n_j, gives the same rank decision and the same
+kernel. For an oblique splitting the coordinate change is not unitary,
+the singular values differ, and the kernel takes one dense SVD.
 """
 
 from __future__ import annotations
@@ -17,11 +28,13 @@ from math import comb
 
 import numpy as np
 
+from .drazin import DrazinData
 from .errors import DimensionMismatch, ToleranceInconsistency
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
     _spectral_rank,
+    adjoint,
     frob,
     matrix_to_json,
     unvectorize,
@@ -38,9 +51,7 @@ __all__ = [
 ]
 
 
-def transform_matrix(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
-    """Matrix of X -> transform(B, A, X, m) on column-stacked weights."""
-    kind = TransformKind(kind)
+def _operands(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.complex128)
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
@@ -49,13 +60,24 @@ def transform_matrix(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) 
         )
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
-    n = a.shape[0]
-    ap = [np.eye(n, dtype=np.complex128)]
-    bp = [np.eye(n, dtype=np.complex128)]
+    return b, a
+
+
+def transform_matrix(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
+    """Matrix of X -> transform(B, A, X, m) on column-stacked weights."""
+    return _kron_sum(TransformKind(kind), *_operands(b, a, m), m)
+
+
+def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
+    """Matrix of Y -> transform(B, A, Y, m) for square B (p x p) and A
+    (q x q) acting on column-stacked p x q weights Y."""
+    ap = [np.eye(a.shape[0], dtype=np.complex128)]
+    bp = [np.eye(b.shape[0], dtype=np.complex128)]
     for _ in range(m):
         ap.append(ap[-1] @ a)
         bp.append(bp[-1] @ b)
-    acc = np.zeros((n * n, n * n), dtype=np.complex128)
+    size = a.shape[0] * b.shape[0]
+    acc = np.zeros((size, size), dtype=np.complex128)
     for j in range(m + 1):
         right = ap[m - j] if kind == TransformKind.TRIANGLE else ap[j]
         acc += (-1) ** j * comb(m, j) * np.kron(right.T, bp[m - j])
@@ -103,18 +125,57 @@ class KernelBasis:
         }
 
 
+def _block_diagonal(t: np.ndarray, r: int, policy: NumericPolicy) -> bool:
+    leak = max(frob(t[:r, r:]), frob(t[r:, :r]))
+    return leak <= policy.zero_threshold(frob(t))
+
+
+def _split_blocks(kind, b, a, m, dd: DrazinData, policy: NumericPolicy) -> list:
+    """(left, right, matrix) per diagonal block pair (i, j): ``matrix`` acts
+    on vec(Y_ij) and a weight Y_ij maps back to X = left Y_ij right^*."""
+    n, r = a.shape[0], dd.dim_h1
+    if dd.n != n:
+        raise ValueError(f"decomposition is of size {dd.n}, operators of size {n}")
+    s = dd.s
+    tb, ta = adjoint(s) @ b @ s, adjoint(s) @ a @ s
+    if not (_block_diagonal(tb, r, policy) and _block_diagonal(ta, r, policy)):
+        raise ValueError("the decomposition does not split this pair")
+    cut = (slice(0, r), slice(r, n))
+    return [
+        (s[:, ci], s[:, cj], _kron_sum(kind, tb[ci, ci], ta[cj, cj], m))
+        for ci in cut
+        for cj in cut
+    ]
+
+
 def kernel(
     kind: TransformKind,
     b: np.ndarray,
     a: np.ndarray,
     m: int,
     policy: NumericPolicy = DEFAULT_POLICY,
+    dd: DrazinData | None = None,
 ) -> KernelBasis:
-    """Orthonormal basis of the numerical nullspace of the transform matrix."""
+    """Orthonormal basis of the numerical nullspace of the transform matrix.
+
+    ``dd`` is A's core-nilpotent decomposition. When its splitting is
+    unitary and proper, the transform is split into the four block maps
+    (see the module docstring); a ``dd`` that does not block-diagonalize
+    both B and A raises ValueError. Otherwise the whole n^2 x n^2 map is
+    one block. Either way the rank is decided once over all singular values.
+    """
     kind = TransformKind(kind)
-    tm = transform_matrix(kind, b, a, m)
-    n = int(round(math.sqrt(tm.shape[0])))
-    _, sv, vh = np.linalg.svd(tm, full_matrices=True)
+    b, a = _operands(b, a, m)
+    n = a.shape[0]
+    if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= policy.rank_rtol:
+        blocks = _split_blocks(kind, b, a, m, dd, policy)
+    else:
+        blocks = [(None, None, transform_matrix(kind, b, a, m))]
+    svds = [np.linalg.svd(tm, full_matrices=True)[1:] for *_, tm in blocks]
+    if len(svds) == 1:
+        sv = svds[0][0]
+    else:
+        sv = np.sort(np.concatenate([s for s, _ in svds]))[::-1]
     # A map whose norm sits below the defect zero threshold annihilates
     # every weight up to rounding; the relative cutoff alone cannot see
     # that, so it gets an absolute floor at the package-wide zero scale.
@@ -124,14 +185,20 @@ def kernel(
         rank_ = _spectral_rank(sv, policy.rank_rtol)
     else:
         cutoff, rank_ = zero_floor, 0
-    dim = tm.shape[0] - rank_
+    dim = sv.size - rank_
     # Gap between the smallest kept and the largest discarded singular value;
     # a small ratio flags an unreliable kernel dimension.
     if dim == 0 or rank_ == 0 or sv[rank_] == 0.0:
         gap = math.inf
     else:
         gap = float(sv[rank_ - 1] / sv[rank_])
-    basis = [_normalize_phase(unvectorize(vh[i].conj(), n, n)) for i in range(rank_, tm.shape[0])]
+    basis = []
+    for (left, right, _), (s, vh) in zip(blocks, svds):
+        rows = left.shape[1] if left is not None else n
+        cols = right.shape[1] if right is not None else n
+        for v in vh[np.count_nonzero(s > cutoff):]:
+            y = unvectorize(v.conj(), rows, cols)
+            basis.append(_normalize_phase(y if left is None else left @ y @ adjoint(right)))
     return KernelBasis(
         kind=kind, m=m, dim=dim, basis=basis, singular_values=sv, cutoff=cutoff, gap=gap
     )

@@ -58,7 +58,6 @@ from .matcore import (
     NumericPolicy,
     adjoint,
     block_diag,
-    condition,
     eye,
     frob,
     inverse,
@@ -264,7 +263,7 @@ def _trial_drazin_axioms(cfg, rng, extras, trial):
         ("axiom_inner_inverse", r2, thr, detail),
         ("axiom_index_power", r3, thr, detail),
         ("index_match", abs(dd.p - expected), 0.5, detail),
-        ("block_reconstruction", frob(recon - a), policy.zero_threshold(condition(dd.s) * frob(a)), detail),
+        ("block_reconstruction", frob(recon - a), policy.zero_threshold(dd.cond_s * frob(a)), detail),
     ]
 
 
@@ -362,7 +361,7 @@ def _quad_params(rng, cfg):
     return dict(dims=(nca, ncb, nna, nnb), qa=qa, qb=qb, m=m, n=n)
 
 
-def _conclusion_checks(policy, a, b, x, y, m, n, *, pairs, detail):
+def _conclusion_checks(policy, m, n, *, pairs, detail):
     """Evaluate delta/triangle conclusions at order m + n - 1.
 
     ``pairs`` lists (clause, kind, Bop, Aop, weight).
@@ -387,10 +386,6 @@ def _trial_prop2(cfg, rng, extras, trial):
         detail = {"flavor": "product-sum", **{k: inst.meta[k] for k in ("dims", "m", "n")}}
         return _conclusion_checks(
             policy,
-            a,
-            b,
-            x,
-            y,
             m,
             n,
             pairs=[
@@ -434,10 +429,6 @@ def _trial_cor1(cfg, rng, extras, trial):
     detail = {"dims": inst.meta["dims"], "m": m, "n": n}
     return _conclusion_checks(
         policy,
-        a,
-        b,
-        x,
-        x,
         m,
         n,
         pairs=[
@@ -594,7 +585,7 @@ def _trial_no_left_m_inv(cfg, rng, extras, trial):
             (
                 "nil_block_identity",
                 frob(bv.x22 - sign * eye(dd.dim_h2)),
-                policy.zero_threshold(condition(dd.s) * defect_scale(b, a, ident, m)),
+                policy.zero_threshold(dd.cond_s * defect_scale(b, a, ident, m)),
                 detail,
             )
         )
@@ -718,10 +709,6 @@ def _trial_thm3(cfg, rng, extras, trial):
     detail = {"dims": inst.meta["dims"], "m": m, "n": n, "xy_norm": inst.meta["xy_norm"]}
     return _conclusion_checks(
         policy,
-        a,
-        b,
-        x,
-        y,
         m,
         n,
         pairs=[
@@ -766,19 +753,20 @@ def _trial_thm4(cfg, rng, extras, trial):
             detail,
         )
     ]
-    # cross-check the block formula for (A+B)_d inside A's own decomposition
-    dd = core_nilpotent_decompose(a, policy)
+    # cross-check the block formula for (A+B)_d inside A's own decomposition,
+    # the one the generator made to certify the instance
+    dd = inst.drazin["A"]
     bb = block_view(b, dd)
     b_leak = max(frob(bb.x11), frob(bb.x12), frob(bb.x21))
     checks.append(
-        ("b_vanishes_on_core", b_leak, policy.zero_threshold(condition(dd.s) * max(1.0, frob(b))), detail)
+        ("b_vanishes_on_core", b_leak, policy.zero_threshold(dd.cond_s * max(1.0, frob(b))), detail)
     )
     t = block_view(apb, dd)
     checks.append(
         (
             "sum_block_diagonal",
             max(frob(t.x12), frob(t.x21)),
-            policy.zero_threshold(condition(dd.s) * max(1.0, frob(apb))),
+            policy.zero_threshold(dd.cond_s * max(1.0, frob(apb))),
             detail,
         )
     )
@@ -791,7 +779,7 @@ def _trial_thm4(cfg, rng, extras, trial):
         ),
         dd,
     )
-    scale = condition(dd.s) ** 2 * (1.0 + frob(apb_d) + frob(formula))
+    scale = dd.cond_s ** 2 * (1.0 + frob(apb_d) + frob(formula))
     checks.append(("drazin_block_formula", frob(apb_d - formula), policy.zero_threshold(scale), detail))
     return checks
 

@@ -10,6 +10,7 @@ import opcheck.cli as cli
 from opcheck import matcore as mc
 from opcheck.cli import main
 from opcheck.drazin import index_of
+from opcheck.errors import IllConditioned
 from opcheck.suites import SuiteReport, TrialFailure, available_suites
 
 
@@ -22,6 +23,7 @@ def fixture_files(tmp_path):
         "proj_nil": mc.block_diag(mc.eye(1), np.array([[0, 1], [0, 0]], dtype=complex)),
         "nonsquare": np.ones((2, 3), dtype=complex),
         "oblique": np.array([[1.0, 1e9], [0.0, 0.0]], dtype=complex),
+        "skew_projector": np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
         "e12": np.array([[0, 1], [0, 0]], dtype=complex),
     }
     for name, mat in mats.items():
@@ -43,6 +45,14 @@ class TestDrazinCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["index"] == 2
         assert doc["drazin_inverse"]["data"][0][0] == [0.5, 0.0]
+
+    def test_json_reports_core_basis_condition(self, fixture_files, capsys):
+        assert main(["drazin", fixture_files["drazin3"], "--json"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["core_basis_condition"] - 1.0) < 1e-12
+        # range span(e1) and null space span(e1 - e2) meet at 45 degrees
+        assert main(["drazin", fixture_files["skew_projector"], "--json"]) == 0
+        kappa = json.loads(capsys.readouterr().out)["core_basis_condition"]
+        assert abs(kappa - (1.0 + np.sqrt(2.0))) < 1e-12
 
     def test_nonsquare_is_usage_error(self, fixture_files):
         assert main(["drazin", fixture_files["nonsquare"]]) == 1
@@ -124,6 +134,19 @@ class TestKernelCommand:
         assert doc["dim"] == len(doc["block_norms"]) == len(doc["basis"])
         for rec in doc["block_norms"]:
             assert rec["x12"] < 1e-7 and rec["x21"] < 1e-7 and rec["x22"] < 1e-7
+
+    def test_failed_decomposition_keeps_the_dense_kernel(self, fixture_files, monkeypatch, capsys):
+        argv = ["kernel", fixture_files["drazin3"], "--transform", "delta", "--order", "2"]
+        assert main(argv + ["--pair", "adjoint"]) == 0
+        expected = json.loads(capsys.readouterr().out)["dim"]
+
+        def fail(a, policy):
+            raise IllConditioned("forced")
+
+        monkeypatch.setattr(cli, "core_nilpotent_decompose", fail)
+        assert main(argv + ["--pair", "adjoint"]) == 0
+        assert json.loads(capsys.readouterr().out)["dim"] == expected == 4
+        assert main(argv + ["--pair", "drazin-adjoint"]) == 2
 
 
 class TestExampleCommand:

@@ -226,6 +226,14 @@ class TestQuadruples:
         assert mc.frob(a @ b) <= 1e-10
         assert inst.meta["xy_norm"] <= 1e-12  # weights live on disjoint cores
 
+    def test_disjoint_quadruple_hands_over_its_decomposition(self):
+        inst = make_disjoint_quadruple(
+            rng_for(3, 95), P, flavor="triangle-drazin", dims=(2, 1, 2, 1), qa=2, qb=1
+        )
+        a = inst.matrices["A"]
+        np.testing.assert_array_equal(inst.drazin["A"].a_d, drazin_inverse(a, P))
+        assert "drazin" not in inst.to_json() and "drazin" not in inst.to_json()["meta"]
+
     def test_nilpotent_perturbation_placements(self):
         for placement, qa in (("disjoint", 1), ("power", 3)):
             inst = make_nilpotent_perturbation(

@@ -6,11 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from opcheck import drazin as dz
 from opcheck import kernels as kn
 from opcheck import matcore as mc
 from opcheck import transforms as tf
 from opcheck.errors import DimensionMismatch, ToleranceInconsistency
-from opcheck.generators import rng_for
+from opcheck.generators import (
+    make_drazin_block,
+    random_invertible,
+    random_nilpotent,
+    random_unitary,
+    rng_for,
+)
 
 P = mc.DEFAULT_POLICY
 TK = tf.TransformKind
@@ -127,6 +134,64 @@ class TestKernel:
         a = np.diag([2.0, 0.5]).astype(complex)
         doc = kn.kernel(TK.TRIANGLE, mc.adjoint(mc.inverse(a, P)), a, 1, P).to_json()
         assert doc["kind"] == "triangle" and doc["dim"] == len(doc["basis"])
+
+
+def _largest_angle_sine(basis0, basis1) -> float:
+    """Sine of the largest principal angle between two equal-dimension spans."""
+    if not basis0:
+        return 0.0
+    v0, v1 = (np.stack([mc.vectorize(x) for x in b], axis=1) for b in (basis0, basis1))
+    return float(np.linalg.norm(v1 - v0 @ (v0.conj().T @ v1), 2))
+
+
+class TestSplitKernel:
+    """``kernel(..., dd=dd)`` against the one-SVD kernel of the whole map."""
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("spectrum", ["generic", "reciprocal", "real"])
+    def test_matches_dense_kernel(self, conjugate, spectrum):
+        rng = rng_for(11, 105, int(conjugate), ["generic", "reciprocal", "real"].index(spectrum))
+        for n1, n2, p in ((2, 1, 1), (3, 2, 2), (2, 3, 3), (4, 2, 2)):
+            a = make_drazin_block(n1, n2, p, rng, P, conjugate=conjugate, spectrum=spectrum)
+            a = a.matrices["A"]
+            dd = dz.core_nilpotent_decompose(a, P)
+            assert dd.cond_s - 1 <= P.rank_rtol and dd.dim_h1 == n1
+            for sel in dz.PairSelector:
+                b = sel.partner(a, dd.a_d)
+                for kind in TK:
+                    for m in range(1, 5):
+                        dense = kn.kernel(kind, b, a, m, P)
+                        split = kn.kernel(kind, b, a, m, P, dd)
+                        assert split.dim == dense.dim == len(split.basis)
+                        assert _largest_angle_sine(dense.basis, split.basis) <= 1e-6
+                        for x in split.basis:
+                            assert kn.is_member(kind, b, a, x, m, P)
+
+    def test_oblique_splitting_takes_the_dense_path(self):
+        rng = rng_for(12, 106)
+        u, w = random_unitary(5, rng), random_unitary(5, rng)
+        v = u @ np.diag(np.geomspace(1.0, 100.0, 5)).astype(complex) @ w
+        a = v @ mc.block_diag(random_invertible(3, rng), random_nilpotent(2, 2, rng)) @ mc.inverse(v)
+        dd = dz.core_nilpotent_decompose(a, P)
+        assert dd.cond_s - 1 > P.rank_rtol and dd.dim_h1 == 3
+        for sel in dz.PairSelector:
+            b = sel.partner(a, dd.a_d)
+            for kind in TK:
+                dense = kn.kernel(kind, b, a, 2, P)
+                split = kn.kernel(kind, b, a, 2, P, dd)
+                assert (split.dim, split.cutoff, split.gap) == (dense.dim, dense.cutoff, dense.gap)
+                np.testing.assert_array_equal(split.singular_values, dense.singular_values)
+                for x, y in zip(split.basis, dense.basis):
+                    np.testing.assert_array_equal(x, y)
+
+    def test_decomposition_of_another_matrix_rejected(self):
+        rng = rng_for(13, 107)
+        a, c = (make_drazin_block(3, 2, 2, rng, P, conjugate=True).matrices["A"] for _ in "ac")
+        bigger = make_drazin_block(4, 2, 2, rng, P, conjugate=True).matrices["A"]
+        for dd in (dz.core_nilpotent_decompose(c, P), dz.core_nilpotent_decompose(bigger, P)):
+            for kind in TK:
+                with pytest.raises(ValueError):
+                    kn.kernel(kind, mc.adjoint(a), a, 1, P, dd)
 
 
 class TestMembership:
