@@ -5,9 +5,8 @@ instance generators, and a verification harness over all of it."""
 from .matcore import DEFAULT_POLICY, NumericPolicy
 from .transforms import (
     TransformKind,
+    defect,
     delta,
-    isometry_defect,
-    selfadjoint_defect,
     triangle,
 )
 from .drazin import (
@@ -39,8 +38,7 @@ __all__ = [
     "TransformKind",
     "triangle",
     "delta",
-    "isometry_defect",
-    "selfadjoint_defect",
+    "defect",
     "DrazinData",
     "BlockView",
     "PairSelector",

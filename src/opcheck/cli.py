@@ -182,8 +182,9 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
                 }
             )
     if args.out:
+        # unindented, so the C encoder writes it
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.write(json.dumps(doc))
         print(f"kernel dimension {basis.dim} (gap {basis.gap:.3e}) -> {args.out}")
     else:
         print(json.dumps(doc, indent=2))
@@ -305,7 +306,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    policy = None
     try:
         policy = _load_policy()
         return args.func(args, policy)

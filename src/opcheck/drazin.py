@@ -27,6 +27,7 @@ from .matcore import (
     condition,
     frob,
     inverse,
+    matrix_to_json,
     one_norm,
     power,
     rank,
@@ -123,8 +124,6 @@ class DrazinData:
         return axiom_residuals(a, self.a_d, self.p)
 
     def to_json(self, a: np.ndarray | None = None) -> dict:
-        from .matcore import matrix_to_json
-
         doc = {
             "index": self.p,
             "dim_core": self.dim_h1,

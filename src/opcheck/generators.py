@@ -38,14 +38,7 @@ from .matcore import (
     power,
     zeros,
 )
-from .transforms import (
-    TransformKind,
-    defect_threshold,
-    delta,
-    isometry_defect,
-    selfadjoint_defect,
-    triangle,
-)
+from .transforms import TransformKind, defect, delta, triangle
 
 __all__ = [
     "Family",
@@ -98,6 +91,16 @@ def _certify(checks) -> list[tuple[str, float]]:
     if bad:
         raise _CertFailure(bad)
     return [(name, float(res)) for name, res, _ in checks]
+
+
+def _commutator(name: str, p: np.ndarray, q: np.ndarray, policy: NumericPolicy):
+    """Certification check that P and Q commute: (name, ||PQ - QP||_F,
+    zero threshold at scale max(1, ||P||_F) max(1, ||Q||_F))."""
+    return (
+        name,
+        frob(p @ q - q @ p),
+        policy.zero_threshold(max(1.0, frob(p)) * max(1.0, frob(q))),
+    )
 
 
 def _with_retries(build, retries: int = 8):
@@ -353,17 +356,16 @@ def make_ab_zero_pair(
     qa: int | None = None,
     qb: int | None = None,
     invertible_tail: bool = False,
-    spectrum: str = "real",
     conjugate: bool = False,
 ) -> GeneratedInstance:
     """Commuting pair with AB = BA = 0 exactly.
 
-    A = A1 (+) A2 with A1 invertible on the first n1 coordinates and A2
-    nilpotent on the first half of the trailing n2; B vanishes there and
-    acts nilpotently on the second half (plus, optionally, an invertible
-    tail so that B has a nonzero core of its own). All the structure lives
-    on disjoint coordinate blocks, so the product and commutator vanish
-    identically rather than to rounding.
+    A = A1 (+) A2 with A1 invertible (distinct real spectrum) on the first
+    n1 coordinates and A2 nilpotent on the first half of the trailing n2;
+    B vanishes there and acts nilpotently on the second half (plus,
+    optionally, an invertible tail so that B has a nonzero core of its
+    own). All the structure lives on disjoint coordinate blocks, so the
+    product and commutator vanish identically rather than to rounding.
     """
     if n2 < 2:
         raise InvalidOrder("need n2 >= 2 to split the nilpotent part")
@@ -380,10 +382,10 @@ def make_ab_zero_pair(
         qb = 1
 
     def build():
-        a1 = random_invertible(n1, rng, spectrum)
+        a1 = random_invertible(n1, rng, "real")
         na = random_nilpotent(h2a, qa, rng) if h2a else zeros(0, 0)
         nb = random_nilpotent(h2b, qb, rng) if h2b else zeros(0, 0)
-        mb = random_invertible(h2c, rng, spectrum) if h2c else zeros(0, 0)
+        mb = random_invertible(h2c, rng, "real") if h2c else zeros(0, 0)
         a = block_diag(a1, na, zeros(h2b, h2b), zeros(h2c, h2c))
         b = block_diag(zeros(n1, n1), zeros(h2a, h2a), nb, mb)
         u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
@@ -441,21 +443,14 @@ def make_scalar_plus_nilpotent(
         m = 2 * q - 1
         checks = []
         ident = eye(n)
+        b = adjoint(a)
         if abs(complex(s).imag) < 1e-15:
             checks.append(
-                (
-                    "selfadjoint_defect",
-                    frob(selfadjoint_defect(a, ident, m)),
-                    defect_threshold(policy, adjoint(a), a, ident, m),
-                )
+                ("selfadjoint_defect", *defect(TransformKind.DELTA, b, a, ident, m, policy))
             )
         if abs(abs(complex(s)) - 1.0) < 1e-15:
             checks.append(
-                (
-                    "isometry_defect",
-                    frob(isometry_defect(a, ident, m)),
-                    defect_threshold(policy, adjoint(a), a, ident, m),
-                )
+                ("isometry_defect", *defect(TransformKind.TRIANGLE, b, a, ident, m, policy))
             )
         certified = _certify(checks)
         return GeneratedInstance(
@@ -499,7 +494,7 @@ def make_remark3_counterexample(
         a = block_diag(a1, nil)
         x = block_diag(x11, eye(2))
         a_d = drazin_inverse(a, policy)
-        pos = frob(selfadjoint_defect(a, x, 3))
+        pos = frob(delta(adjoint(a), a, x, 3))
         neg = frob(triangle(adjoint(a_d), a, x, 3))
         certified = _certify(
             [
@@ -553,11 +548,7 @@ def make_commuting_core_weight(
         b = adjoint(a_d)
         certified = _certify(
             [
-                (
-                    "triangle_defect",
-                    frob(triangle(b, a, x, m)),
-                    defect_threshold(policy, b, a, x, m),
-                ),
+                ("triangle_defect", *defect(TransformKind.TRIANGLE, b, a, x, m, policy)),
                 ("commutator_AX", frob(a @ x - x @ a), policy.zero_threshold(frob(a) * frob(x))),
                 ("weight_core_condition", condition(x11), 1e4),
                 ("index", abs(index_of(a, policy) - p), 0.5),
@@ -587,14 +578,11 @@ def _kernel_sample_block(kind, b_block, a_block, m, policy, rng):
 
 
 def _quadruple_commutator_checks(a, b, x, y, policy):
-    def thr(p, q):
-        return policy.zero_threshold(max(1.0, frob(p)) * max(1.0, frob(q)))
-
     return [
-        ("commutator_XY", frob(x @ y - y @ x), thr(x, y)),
-        ("commutator_AB", frob(a @ b - b @ a), thr(a, b)),
-        ("commutator_AstarY", frob(adjoint(a) @ y - y @ adjoint(a)), thr(a, y)),
-        ("commutator_BstarX", frob(adjoint(b) @ x - x @ adjoint(b)), thr(b, x)),
+        _commutator("commutator_XY", x, y, policy),
+        _commutator("commutator_AB", a, b, policy),
+        _commutator("commutator_AstarY", adjoint(a), y, policy),
+        _commutator("commutator_BstarX", adjoint(b), x, policy),
     ]
 
 
@@ -608,8 +596,6 @@ def make_commuting_quadruple(
     qb: int = 1,
     m: int | None = None,
     n: int | None = None,
-    pa: int | None = None,
-    pb: int | None = None,
     shared_weight: bool = False,
     conjugate: bool = True,
 ) -> GeneratedInstance:
@@ -630,8 +616,8 @@ def make_commuting_quadruple(
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for core dims ({nca},{ncb})")
     m = m if m is not None else 2 * qa - 1
     n = n if n is not None else 2 * qb - 1
-    pa = pa if pa is not None else (min(2, nna) if nna else 0)
-    pb = pb if pb is not None else (min(2, nnb) if nnb else 0)
+    pa = min(2, nna) if nna else 0
+    pb = min(2, nnb) if nnb else 0
     if flavor not in ("triangle-drazin", "delta"):
         raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -682,28 +668,13 @@ def make_commuting_quadruple(
         else:
             ba_full, bb_full = adjoint(a), adjoint(b)
         kind = TransformKind.TRIANGLE if flavor == "triangle-drazin" else TransformKind.DELTA
-        op = triangle if kind == TransformKind.TRIANGLE else delta
         checks = [
-            (
-                "defect_A_X",
-                frob(op(ba_full, a, x, m)),
-                defect_threshold(policy, ba_full, a, x, m),
-            ),
-            (
-                "defect_B_Y",
-                frob(op(bb_full, b, y, n)),
-                defect_threshold(policy, bb_full, b, y, n),
-            ),
+            ("defect_A_X", *defect(kind, ba_full, a, x, m, policy)),
+            ("defect_B_Y", *defect(kind, bb_full, b, y, n, policy)),
         ]
         if shared_weight:
             # the shared-weight statement only assumes [A, B] = 0
-            checks.append(
-                (
-                    "commutator_AB",
-                    frob(a @ b - b @ a),
-                    policy.zero_threshold(max(1.0, frob(a)) * max(1.0, frob(b))),
-                )
-            )
+            checks.append(_commutator("commutator_AB", a, b, policy))
         else:
             checks.extend(_quadruple_commutator_checks(a, b, x, y, policy))
         certified = _certify(checks)
@@ -736,8 +707,6 @@ def make_disjoint_quadruple(
     qb: int = 1,
     m: int | None = None,
     n: int | None = None,
-    pa: int | None = None,
-    pb: int | None = None,
     conjugate: bool = True,
 ) -> GeneratedInstance:
     """Quadruple (A, B, X, Y) with AB = BA = 0 exactly plus the commuting
@@ -753,8 +722,8 @@ def make_disjoint_quadruple(
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for core dims ({n1a},{n1b})")
     m = m if m is not None else 2 * qa - 1
     n = n if n is not None else 2 * qb - 1
-    pa = pa if pa is not None else (min(2, nsa) if nsa else 0)
-    pb = pb if pb is not None else (min(2, nsb) if nsb else 0)
+    pa = min(2, nsa) if nsa else 0
+    pb = min(2, nsb) if nsb else 0
     if flavor not in ("triangle-drazin", "triangle-adjoint"):
         raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -796,16 +765,8 @@ def make_disjoint_quadruple(
         checks = [
             ("ab_product", frob(a @ b), policy.atol),
             ("ba_product", frob(b @ a), policy.atol),
-            (
-                "defect_A_X",
-                frob(triangle(ba_full, a, x, m)),
-                defect_threshold(policy, ba_full, a, x, m),
-            ),
-            (
-                "defect_B_Y",
-                frob(triangle(bb_full, b, y, n)),
-                defect_threshold(policy, bb_full, b, y, n),
-            ),
+            ("defect_A_X", *defect(TransformKind.TRIANGLE, ba_full, a, x, m, policy)),
+            ("defect_B_Y", *defect(TransformKind.TRIANGLE, bb_full, b, y, n, policy)),
         ]
         checks.extend(_quadruple_commutator_checks(a, b, x, y, policy))
         certified = _certify(checks)
@@ -838,7 +799,6 @@ def make_nilpotent_perturbation(
     qa: int = 1,
     m: int | None = None,
     nil_placement: str = "disjoint",
-    q_pert: int | None = None,
     conjugate: bool = True,
 ) -> GeneratedInstance:
     """(A, B, X, N) with [A, N] = 0 and the order-m defect of (B, A) on X zero.
@@ -877,9 +837,7 @@ def make_nilpotent_perturbation(
         x = block_diag(x_a, x_b)
 
         if nil_placement == "disjoint":
-            q = q_pert if q_pert is not None else min(2, nb)
-            if not 1 <= q <= max(nb, 1):
-                raise InvalidOrder(f"perturbation order {q} invalid for size {nb}")
+            q = min(2, nb)
             pert = block_diag(zeros(na, na), random_nilpotent(nb, q, rng))
         else:
             r = 1 if qa <= 2 else int(rng.integers(1, qa - 1))
@@ -892,19 +850,10 @@ def make_nilpotent_perturbation(
             a, x, pert = (u @ t @ adjoint(u) for t in (a, x, pert))
 
         b = adjoint(a)
-        op = delta if kind == TransformKind.DELTA else triangle
         certified = _certify(
             [
-                (
-                    "defect_A_X",
-                    frob(op(b, a, x, m)),
-                    defect_threshold(policy, b, a, x, m),
-                ),
-                (
-                    "commutator_AN",
-                    frob(a @ pert - pert @ a),
-                    policy.zero_threshold(max(1.0, frob(a)) * max(1.0, frob(pert))),
-                ),
+                ("defect_A_X", *defect(kind, b, a, x, m, policy)),
+                _commutator("commutator_AN", a, pert, policy),
                 ("pert_nilpotency", frob(power(pert, q)), policy.zero_threshold(1.0)),
             ]
         )
@@ -978,31 +927,17 @@ def make_product_pairs(
             u = random_unitary(na + nb, rng)
             a1, b1, x1, a2, b2, x2 = (u @ t @ adjoint(u) for t in (a1, b1, x1, a2, b2, x2))
 
-        def thr(p, q_):
-            return policy.zero_threshold(max(1.0, frob(p)) * max(1.0, frob(q_)))
-
-        def comm(p, q_):
-            return frob(p @ q_ - q_ @ p)
-
         certified = _certify(
             [
-                (
-                    "defect_pair1",
-                    frob(triangle(b1, a1, x1, m1)),
-                    defect_threshold(policy, b1, a1, x1, m1),
-                ),
-                (
-                    "defect_pair2",
-                    frob(triangle(b2, a2, x2, m2)),
-                    defect_threshold(policy, b2, a2, x2, m2),
-                ),
-                ("commutator_A1A2", comm(a1, a2), thr(a1, a2)),
-                ("commutator_A1B2", comm(a1, b2), thr(a1, b2)),
-                ("commutator_X1X2", comm(x1, x2), thr(x1, x2)),
-                ("commutator_A1X2", comm(a1, x2), thr(a1, x2)),
-                ("commutator_A2X1", comm(a2, x1), thr(a2, x1)),
-                ("commutator_B1B2", comm(b1, b2), thr(b1, b2)),
-                ("commutator_B2X1", comm(b2, x1), thr(b2, x1)),
+                ("defect_pair1", *defect(TransformKind.TRIANGLE, b1, a1, x1, m1, policy)),
+                ("defect_pair2", *defect(TransformKind.TRIANGLE, b2, a2, x2, m2, policy)),
+                _commutator("commutator_A1A2", a1, a2, policy),
+                _commutator("commutator_A1B2", a1, b2, policy),
+                _commutator("commutator_X1X2", x1, x2, policy),
+                _commutator("commutator_A1X2", a1, x2, policy),
+                _commutator("commutator_A2X1", a2, x1, policy),
+                _commutator("commutator_B1B2", b1, b2, policy),
+                _commutator("commutator_B2X1", b2, x1, policy),
             ]
         )
         return GeneratedInstance(

@@ -39,7 +39,7 @@ from .matcore import (
     matrix_to_json,
     unvectorize,
 )
-from .transforms import TransformKind, defect_growth, defect_threshold, transform
+from .transforms import TransformKind, defect, defect_growth, transform
 
 __all__ = [
     "KernelBasis",
@@ -106,13 +106,13 @@ class KernelBasis:
     cutoff: float = 0.0
     gap: float = math.inf
 
-    def sample(self, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
-        """Random element of the kernel with Frobenius norm ``norm``."""
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Random element of the kernel with unit Frobenius norm."""
         if self.dim == 0:
             raise ValueError("cannot sample from an empty kernel")
         coeff = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         x = sum(c * b for c, b in zip(coeff, self.basis))
-        return x * (norm / frob(x))
+        return x * (1.0 / frob(x))
 
     def to_json(self) -> dict:
         return {
@@ -210,8 +210,8 @@ def is_member(
     """True iff the order-m defect of (B, A) on X vanishes: for the triangle
     transform A is left (X,m)-invertible by B, for delta B is an
     (X,m)-adjoint of A."""
-    d = transform(kind, b, a, x, m)
-    return frob(d) <= defect_threshold(policy, b, a, x, m)
+    res, thr = defect(kind, b, a, x, m, policy)
+    return res <= thr
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+        "data": np.stack((m.real, m.imag), axis=-1).tolist(),
     }
 
 

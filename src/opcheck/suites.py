@@ -65,10 +65,10 @@ from .matcore import (
 )
 from .transforms import (
     TransformKind,
+    defect,
     defect_scale,
     defect_threshold,
     delta,
-    selfadjoint_defect,
     transform,
     triangle,
 )
@@ -324,26 +324,12 @@ def _trial_prop1(cfg, rng, extras, trial):
         if fwd.dim == 0:
             raise _Skip("empty kernel on invertible pair")
         x = fwd.sample(rng)
-        checks.append(
-            (
-                "inverse_pair_forward",
-                frob(transform(tkind, b_inv, a_inv, x, m)),
-                defect_threshold(policy, b_inv, a_inv, x, m),
-                detail,
-            )
-        )
+        checks.append(("inverse_pair_forward", *defect(tkind, b_inv, a_inv, x, m, policy), detail))
         bwd = kernel(tkind, b_inv, a_inv, m, policy)
         if bwd.dim == 0:
             raise _Skip("empty kernel on inverted pair")
         x2 = bwd.sample(rng)
-        checks.append(
-            (
-                "inverse_pair_backward",
-                frob(transform(tkind, b, a, x2, m)),
-                defect_threshold(policy, b, a, x2, m),
-                detail,
-            )
-        )
+        checks.append(("inverse_pair_backward", *defect(tkind, b, a, x2, m, policy), detail))
     return checks
 
 
@@ -361,19 +347,6 @@ def _quad_params(rng, cfg):
     return dict(dims=(nca, ncb, nna, nnb), qa=qa, qb=qb, m=m, n=n)
 
 
-def _conclusion_checks(policy, m, n, *, pairs, detail):
-    """Evaluate delta/triangle conclusions at order m + n - 1.
-
-    ``pairs`` lists (clause, kind, Bop, Aop, weight).
-    """
-    order = m + n - 1
-    out = []
-    for clause, kind, bop, aop, w in pairs:
-        d = transform(kind, bop, aop, w, order)
-        out.append((clause, frob(d), defect_threshold(policy, bop, aop, w, order), detail))
-    return out
-
-
 def _trial_prop2(cfg, rng, extras, trial):
     policy = cfg.policy
     flavor = trial % 3
@@ -384,16 +357,13 @@ def _trial_prop2(cfg, rng, extras, trial):
         m, n = inst.meta["m"], inst.meta["n"]
         xy = x @ y
         detail = {"flavor": "product-sum", **{k: inst.meta[k] for k in ("dims", "m", "n")}}
-        return _conclusion_checks(
-            policy,
-            m,
-            n,
-            pairs=[
-                ("product_selfadjoint", TransformKind.DELTA, adjoint(a) @ adjoint(b), a @ b, xy),
-                ("sum_selfadjoint", TransformKind.DELTA, adjoint(a) + adjoint(b), a + b, xy),
-            ],
-            detail=detail,
-        )
+        return [
+            (clause, *defect(TransformKind.DELTA, bop, aop, xy, m + n - 1, policy), detail)
+            for clause, bop, aop in (
+                ("product_selfadjoint", adjoint(a) @ adjoint(b), a @ b),
+                ("sum_selfadjoint", adjoint(a) + adjoint(b), a + b),
+            )
+        ]
     placement = "disjoint" if flavor == 1 else "power"
     qa = _dim(rng, 2 if placement == "power" else 1, min(2, max(cfg.order_max, 2)))
     na = _dim(rng, max(qa, 2), max(qa, 3))
@@ -406,13 +376,11 @@ def _trial_prop2(cfg, rng, extras, trial):
     a, x, nmat = inst.matrices["A"], inst.matrices["X"], inst.matrices["N"]
     q = inst.meta["q"]
     order = m + q - 1
-    d = delta(adjoint(a), a + nmat, x, order)
     detail = {"flavor": f"perturbation-{placement}", "m": m, "q": q}
     return [
         (
             "perturbed_adjoint",
-            frob(d),
-            defect_threshold(policy, adjoint(a), a + nmat, x, order),
+            *defect(TransformKind.DELTA, adjoint(a), a + nmat, x, order, policy),
             detail,
         )
     ]
@@ -427,16 +395,13 @@ def _trial_cor1(cfg, rng, extras, trial):
     a, b, x = inst.matrices["A"], inst.matrices["B"], inst.matrices["X"]
     m, n = inst.meta["m"], inst.meta["n"]
     detail = {"dims": inst.meta["dims"], "m": m, "n": n}
-    return _conclusion_checks(
-        policy,
-        m,
-        n,
-        pairs=[
-            ("product_shared_weight", TransformKind.DELTA, adjoint(a) @ adjoint(b), a @ b, x),
-            ("sum_shared_weight", TransformKind.DELTA, adjoint(a) + adjoint(b), a + b, x),
-        ],
-        detail=detail,
-    )
+    return [
+        (clause, *defect(TransformKind.DELTA, bop, aop, x, m + n - 1, policy), detail)
+        for clause, bop, aop in (
+            ("product_shared_weight", adjoint(a) @ adjoint(b), a @ b),
+            ("sum_shared_weight", adjoint(a) + adjoint(b), a + b),
+        )
+    ]
 
 
 def _trial_remark1(cfg, rng, extras, trial):
@@ -462,13 +427,11 @@ def _trial_remark1(cfg, rng, extras, trial):
         a1, b1, x1 = (inst.matrices[k] for k in ("A1", "B1", "X1"))
         a2, b2, x2 = (inst.matrices[k] for k in ("A2", "B2", "X2"))
         order = m1 + m2 - 1
-        prod = triangle(b1 @ b2, a1 @ a2, x1 @ x2, order)
         detail = {"families": fams, "m1": m1, "m2": m2}
         return [
             (
                 "product_pairs",
-                frob(prod),
-                defect_threshold(policy, b1 @ b2, a1 @ a2, x1 @ x2, order),
+                *defect(TransformKind.TRIANGLE, b1 @ b2, a1 @ a2, x1 @ x2, order, policy),
                 detail,
             )
         ]
@@ -484,13 +447,11 @@ def _trial_remark1(cfg, rng, extras, trial):
     a, b, x, nmat = (inst.matrices[k] for k in ("A", "B", "X", "N"))
     q = inst.meta["q"]
     order = m + q - 1
-    d = triangle(b, a + nmat, x, order)
     detail = {"flavor": f"perturbation-{placement}", "m": m, "q": q}
     return [
         (
             "perturbed_left_invertible",
-            frob(d),
-            defect_threshold(policy, b, a + nmat, x, order),
+            *defect(TransformKind.TRIANGLE, b, a + nmat, x, order, policy),
             detail,
         )
     ]
@@ -503,19 +464,17 @@ def _trial_remark2(cfg, rng, extras, trial):
         n = _dim(rng, 2, cfg.dim_max)
         m = _dim(rng, 1, cfg.order_max)
         a = _cgauss(rng, n, n)
-        d = delta(a, a, eye(n), m)
         return [
             (
                 "self_pair_identity_weight",
-                frob(d),
-                defect_threshold(policy, a, a, eye(n), m),
+                *defect(TransformKind.DELTA, a, a, eye(n), m, policy),
                 {"n": n, "m": m},
             )
         ]
     if flavor == 1:
         n = _dim(rng, 2, cfg.dim_max)
         a = _cgauss(rng, n, n)
-        d2 = selfadjoint_defect(a, eye(n), 2)
+        d2 = delta(adjoint(a), a, eye(n), 2)
         # trace(delta^2 of I) = -||A - A*||_F^2 exactly: order-2 selfadjointness
         # forces selfadjointness, quantitatively.
         tau = complex(np.trace(d2))
@@ -526,8 +485,7 @@ def _trial_remark2(cfg, rng, extras, trial):
             ("order2_trace_identity", gap, policy.zero_threshold(scale), {"n": n}),
             (
                 "selfadjoint_is_order2",
-                frob(selfadjoint_defect(h, eye(n), 2)),
-                defect_threshold(policy, adjoint(h), h, eye(n), 2),
+                *defect(TransformKind.DELTA, adjoint(h), h, eye(n), 2, policy),
                 {"n": n},
             ),
         ]
@@ -542,8 +500,8 @@ def _trial_remark2(cfg, rng, extras, trial):
     inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=True, spectrum=spectrum)
     a = inst.matrices["A"]
     a_d = drazin_inverse(a, policy)
-    hyp = frob(delta(adjoint(a_d), a, eye(a.shape[0]), 2))
-    if hyp > defect_threshold(policy, adjoint(a_d), a, eye(a.shape[0]), 2):
+    hyp, hyp_thr = defect(TransformKind.DELTA, adjoint(a_d), a, eye(a.shape[0]), 2, policy)
+    if hyp > hyp_thr:
         raise _Skip(f"order-2 identity not satisfied (residual {hyp:.2e})")
     eigs = np.linalg.eigvals(a)
     on_circle_or_zero = max(
@@ -674,23 +632,19 @@ def _trial_thm2(cfg, rng, extras, trial):
     order = m + 2 * p - 2
     checks = []
     detail = {"m": m, "p": p, "order": order}
-    d = selfadjoint_defect(a, ident, order)
     checks.append(
         (
             "selfadjoint_at_order",
-            frob(d),
-            defect_threshold(policy, adjoint(a), a, ident, order),
+            *defect(TransformKind.DELTA, adjoint(a), a, ident, order, policy),
             detail,
         )
     )
     if m == 2:
         sharp = 2 * p - 1
-        d2 = selfadjoint_defect(a, ident, sharp)
         checks.append(
             (
                 "selfadjoint_sharpened",
-                frob(d2),
-                defect_threshold(policy, adjoint(a), a, ident, sharp),
+                *defect(TransformKind.DELTA, adjoint(a), a, ident, sharp, policy),
                 {**detail, "order": sharp},
             )
         )
@@ -707,16 +661,13 @@ def _trial_thm3(cfg, rng, extras, trial):
     m, n = inst.meta["m"], inst.meta["n"]
     xy = x @ y
     detail = {"dims": inst.meta["dims"], "m": m, "n": n, "xy_norm": inst.meta["xy_norm"]}
-    return _conclusion_checks(
-        policy,
-        m,
-        n,
-        pairs=[
-            ("product_selfadjoint", TransformKind.DELTA, adjoint(a) @ adjoint(b), a @ b, xy),
-            ("sum_selfadjoint", TransformKind.DELTA, adjoint(a) + adjoint(b), a + b, xy),
-        ],
-        detail=detail,
-    )
+    return [
+        (clause, *defect(TransformKind.DELTA, bop, aop, xy, m + n - 1, policy), detail)
+        for clause, bop, aop in (
+            ("product_selfadjoint", adjoint(a) @ adjoint(b), a @ b),
+            ("sum_selfadjoint", adjoint(a) + adjoint(b), a + b),
+        )
+    ]
 
 
 def _disjoint_params(rng, cfg):
@@ -748,8 +699,7 @@ def _trial_thm4(cfg, rng, extras, trial):
     checks = [
         (
             "sum_drazin_adjoint",
-            frob(delta(adjoint(apb_d), apb, xy, order)),
-            defect_threshold(policy, adjoint(apb_d), apb, xy, order),
+            *defect(TransformKind.DELTA, adjoint(apb_d), apb, xy, order, policy),
             detail,
         )
     ]
@@ -800,14 +750,12 @@ def _trial_thm5(cfg, rng, extras, trial):
     return [
         (
             "sum_isometric",
-            frob(triangle(adjoint(apb), apb, xy, order)),
-            defect_threshold(policy, adjoint(apb), apb, xy, order),
+            *defect(TransformKind.TRIANGLE, adjoint(apb), apb, xy, order, policy),
             detail,
         ),
         (
             "sum_drazin_adjoint",
-            frob(delta(adjoint(apb_d), apb, xy, order)),
-            defect_threshold(policy, adjoint(apb_d), apb, xy, order),
+            *defect(TransformKind.DELTA, adjoint(apb_d), apb, xy, order, policy),
             detail,
         ),
     ]

@@ -15,6 +15,12 @@ implementation. The paper writes them as binomial sums,
 sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j) and sum_j (-1)^j C(m,j) B^(m-j) X A^j;
 those sums are kept in the tests as the oracle the iteration is checked
 against.
+
+Every identity the package checks says some defect vanishes.
+``defect(kind, B, A, X, m, policy)`` is the one place that decision is
+made: it returns the defect's Frobenius norm together with its zero
+threshold ``defect_threshold``, computed from the same operands, and the
+defect vanishes when the first is at most the second.
 """
 
 from __future__ import annotations
@@ -24,15 +30,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import adjoint, frob, spectral_norm
+from .matcore import frob, spectral_norm
 
 __all__ = [
     "TransformKind",
     "triangle",
     "delta",
     "transform",
-    "isometry_defect",
-    "selfadjoint_defect",
+    "defect",
     "defect_growth",
     "defect_scale",
     "defect_threshold",
@@ -79,16 +84,6 @@ def transform(kind: TransformKind, b, a, x, m: int) -> np.ndarray:
     return delta(b, a, x, m)
 
 
-def isometry_defect(a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """triangle(A*, A, X, m); zero iff A is (X,m)-isometric."""
-    return triangle(adjoint(a), a, x, m)
-
-
-def selfadjoint_defect(a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """delta(A*, A, X, m); zero iff A is (X,m)-selfadjoint."""
-    return delta(adjoint(a), a, x, m)
-
-
 def defect_growth(b: np.ndarray, a: np.ndarray) -> float:
     """1 + ||A|| ||B||, the most one step of either map can grow a weight.
 
@@ -108,3 +103,13 @@ def defect_scale(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> float:
 def defect_threshold(policy, b, a, x, m: int) -> float:
     """Zero threshold for an order-m defect under the policy."""
     return policy.zero_threshold(defect_scale(b, a, x, m))
+
+
+def defect(kind: TransformKind, b, a, x, m: int, policy) -> tuple[float, float]:
+    """(residual, threshold) of the order-m defect of (B, A) on X.
+
+    The residual is ``frob(transform(kind, B, A, X, m))``, the threshold
+    ``defect_threshold(policy, B, A, X, m)``; the defect vanishes when
+    residual <= threshold.
+    """
+    return frob(transform(kind, b, a, x, m)), defect_threshold(policy, b, a, x, m)

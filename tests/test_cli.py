@@ -135,6 +135,16 @@ class TestKernelCommand:
         for rec in doc["block_norms"]:
             assert rec["x12"] < 1e-7 and rec["x21"] < 1e-7 and rec["x22"] < 1e-7
 
+    def test_out_file_matches_stdout_document(self, fixture_files, tmp_path, capsys):
+        out = tmp_path / "basis.json"
+        argv = ["kernel", fixture_files["drazin3"], "--transform", "delta",
+                "--pair", "drazin-adjoint", "--order", "2"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--out", str(out)]) == 0
+        written = json.loads(out.read_text())
+        assert written == printed and written["dim"] > 0
+
     def test_failed_decomposition_keeps_the_dense_kernel(self, fixture_files, monkeypatch, capsys):
         argv = ["kernel", fixture_files["drazin3"], "--transform", "delta", "--order", "2"]
         assert main(argv + ["--pair", "adjoint"]) == 0

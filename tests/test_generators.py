@@ -162,13 +162,13 @@ class TestScalarPlusNilpotent:
     def test_real_scalar_selfadjoint_order(self):
         inst = make_scalar_plus_nilpotent(3, 2, 1.0, rng_for(0, 60), P)
         a = inst.matrices["A"]
-        assert mc.frob(tf.selfadjoint_defect(a, mc.eye(3), 3)) <= 1e-10
+        assert mc.frob(tf.delta(mc.adjoint(a), a, mc.eye(3), 3)) <= 1e-10
 
     def test_unimodular_scalar_isometry_order(self):
         s = np.exp(0.43j)
         inst = make_scalar_plus_nilpotent(3, 2, s, rng_for(1, 61), P)
         a = inst.matrices["A"]
-        assert mc.frob(tf.isometry_defect(a, mc.eye(3), 3)) <= 1e-10
+        assert mc.frob(tf.triangle(mc.adjoint(a), a, mc.eye(3), 3)) <= 1e-10
 
     def test_plus_minus_one_certifies_both(self):
         inst = make_scalar_plus_nilpotent(2, 2, -1.0, rng_for(2, 62), P)
@@ -181,7 +181,7 @@ def test_counterexample_instance():
     assert inst.meta["delta3"] <= 1e-9
     assert inst.meta["triangle3"] >= 0.5
     a, x = inst.matrices["A"], inst.matrices["X"]
-    assert mc.frob(tf.selfadjoint_defect(a, x, 3)) <= 1e-9
+    assert mc.frob(tf.delta(mc.adjoint(a), a, x, 3)) <= 1e-9
 
 
 def test_commuting_core_weight_hypotheses():
@@ -209,7 +209,7 @@ class TestQuadruples:
         )
         a, x = inst.matrices["A"], inst.matrices["X"]
         m = inst.meta["m"]
-        assert mc.frob(tf.selfadjoint_defect(a, x, m)) <= 1e-8
+        assert mc.frob(tf.delta(mc.adjoint(a), a, x, m)) <= 1e-8
 
     def test_shared_weight(self):
         inst = make_commuting_quadruple(

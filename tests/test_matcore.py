@@ -250,6 +250,17 @@ class TestJsonFormat:
         json.dumps(doc)  # must be serializable as-is
         assert doc["data"][0][0] == [0.0, 1.0]
 
+    def test_data_matches_entrywise_reference(self):
+        def reference(m):
+            m = np.asarray(m, dtype=np.complex128)
+            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+        signed_zeros = np.array([[-0.0 + 0.0j, complex(0.0, -0.0)], [1e-300 - 2j, 3.0]])
+        for m in (_cgauss(_rng(11), 4, 3), signed_zeros, np.arange(6.0).reshape(2, 3),
+                  mc.zeros(0, 3), mc.zeros(2, 0)):
+            got = mc.matrix_to_json(m)["data"]
+            assert json.dumps(got) == json.dumps(reference(m))
+
 
 class TestBlockDiag:
     def test_empty_blocks(self):

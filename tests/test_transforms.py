@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from opcheck import kernels as kn
 from opcheck import matcore as mc
 from opcheck import transforms as tf
 from opcheck.errors import DimensionMismatch
@@ -106,32 +107,62 @@ def test_isometry_defect_unitary():
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]],
         dtype=complex,
     )
-    assert mc.frob(tf.isometry_defect(u, I2, 1)) <= 1e-14
+    assert mc.frob(tf.triangle(mc.adjoint(u), u, I2, 1)) <= 1e-14
 
 
 def test_isometry_defect_scalar_case():
-    out = tf.isometry_defect(2 * mc.eye(1), mc.eye(1), 1)
+    out = tf.triangle(mc.adjoint(2 * mc.eye(1)), 2 * mc.eye(1), mc.eye(1), 1)
     np.testing.assert_allclose(out, [[3]], atol=1e-14)
 
 
 def test_isometry_defect_jordan_order3():
-    assert mc.frob(tf.isometry_defect(JORDAN2, I2, 3)) <= 1e-13
+    assert mc.frob(tf.triangle(mc.adjoint(JORDAN2), JORDAN2, I2, 3)) <= 1e-13
 
 
 def test_selfadjoint_defect_selfadjoint_input():
     rng = np.random.default_rng(6)
     g = _cgauss(rng, 3)
     h = (g + mc.adjoint(g)) / 2
-    assert mc.frob(tf.selfadjoint_defect(h, mc.eye(3), 1)) <= 1e-13
+    assert mc.frob(tf.delta(mc.adjoint(h), h, mc.eye(3), 1)) <= 1e-13
 
 
 def test_selfadjoint_defect_e12_order1():
-    out = tf.selfadjoint_defect(E12, I2, 1)
+    out = tf.delta(mc.adjoint(E12), E12, I2, 1)
     np.testing.assert_allclose(out, [[0, -1], [1, 0]], atol=1e-14)
 
 
 def test_selfadjoint_defect_jordan_order3():
-    assert mc.frob(tf.selfadjoint_defect(JORDAN2, I2, 3)) <= 1e-13
+    assert mc.frob(tf.delta(mc.adjoint(JORDAN2), JORDAN2, I2, 3)) <= 1e-13
+
+
+def test_defect_is_residual_and_threshold_of_one_operand_set():
+    rng = np.random.default_rng(7)
+    for kind in tf.TransformKind:
+        for m in (1, 2, 4):
+            b, a, x = (_cgauss(rng, 3) for _ in range(3))
+            res, thr = tf.defect(kind, b, a, x, m, P)
+            assert res == mc.frob(tf.transform(kind, b, a, x, m))
+            assert thr == tf.defect_threshold(P, b, a, x, m)
+
+
+def test_is_member_agrees_with_defect():
+    rng = np.random.default_rng(8)
+    h = _cgauss(rng, 3)
+    h = h + mc.adjoint(h)
+    cases = [
+        (tf.TransformKind.TRIANGLE, mc.adjoint(JORDAN2), JORDAN2, I2, m) for m in (2, 3)
+    ] + [
+        (tf.TransformKind.DELTA, mc.adjoint(E12), E12, I2, m) for m in (1, 2, 3)
+    ] + [
+        (tf.TransformKind.DELTA, mc.adjoint(h), h, mc.eye(3), 1),
+        (tf.TransformKind.TRIANGLE, *(_cgauss(rng, 3) for _ in range(3)), 2),
+    ]
+    verdicts = []
+    for kind, b, a, x, m in cases:
+        res, thr = tf.defect(kind, b, a, x, m, P)
+        assert kn.is_member(kind, b, a, x, m, P) == (res <= thr)
+        verdicts.append(res <= thr)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_dimension_mismatch_rejected():
