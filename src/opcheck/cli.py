@@ -181,13 +181,14 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
                     "x22": frob(bv.x22),
                 }
             )
+    # unindented, so the C encoder writes it
+    text = json.dumps(doc)
     if args.out:
-        # unindented, so the C encoder writes it
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc))
+            fh.write(text)
         print(f"kernel dimension {basis.dim} (gap {basis.gap:.3e}) -> {args.out}")
     else:
-        print(json.dumps(doc, indent=2))
+        print(text)
     return EXIT_OK
 
 

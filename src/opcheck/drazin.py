@@ -26,7 +26,6 @@ from .matcore import (
     adjoint,
     condition,
     frob,
-    inverse,
     matrix_to_json,
     one_norm,
     power,
@@ -149,10 +148,12 @@ def core_nilpotent_decompose(
     p, ap, r = _index_power(a, policy)
 
     if p == 0:
+        # the index search found A of full rank at a cutoff no looser than
+        # rank()'s, so A is invertible under the policy
         s = np.eye(n, dtype=np.complex128)
         return DrazinData(
             p=0,
-            a_d=inverse(a, policy),
+            a_d=np.linalg.solve(a, s),
             s=s,
             s_inv=s.copy(),
             a1=a.copy(),
@@ -183,9 +184,8 @@ def core_nilpotent_decompose(
     if r and rank(a1, policy) < r:
         raise IllConditioned("core block is numerically singular")
 
-    a1_inv = inverse(a1, policy) if r else a1
     core = np.zeros((n, n), dtype=np.complex128)
-    core[:r, :r] = a1_inv
+    core[:r, :r] = np.linalg.solve(a1, np.eye(r, dtype=np.complex128))
     a_d = s @ core @ s_inv
     return DrazinData(
         p=p, a_d=a_d, s=s, s_inv=s_inv, a1=a1, a2=a2, dim_h1=r, dim_h2=n - r, cond_s=kappa

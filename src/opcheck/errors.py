@@ -32,8 +32,10 @@ class IllConditioned(OpcheckError):
     results derived from it would be numerically meaningless."""
 
 
-class InvalidOrder(OpcheckError):
-    """A nilpotency order or index is out of range for the requested size."""
+class InvalidOrder(OpcheckError, ValueError):
+    """An order, index, bound or count is out of range: a nilpotency order
+    or index for the requested size, a transform order or scan bound below
+    1, or a harness trial count, size or order out of its range."""
 
 
 class GenerationFailed(OpcheckError):

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drazin import core_nilpotent_decompose, drazin_inverse, index_of
+from .drazin import PairSelector, core_nilpotent_decompose, index_of, resolve_pair
 from .errors import GenerationFailed, InvalidOrder
 from .kernels import kernel
 from .matcore import (
@@ -33,7 +33,6 @@ from .matcore import (
     condition,
     eye,
     frob,
-    inverse,
     matrix_to_json,
     power,
     zeros,
@@ -181,6 +180,17 @@ def _unit_modulus(rng: np.random.Generator) -> complex:
     return complex(np.exp(2j * math.pi * rng.random()))
 
 
+def _core_scalar(rng: np.random.Generator, real: bool) -> complex:
+    """Scalar part of a core block: a signed real of modulus in [0.6, 1.6),
+    or a unimodular complex."""
+    return rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6) if real else _unit_modulus(rng)
+
+
+def _weight_scalar(rng: np.random.Generator) -> complex:
+    """Scalar weight block: modulus in [0.5, 1.5), uniform phase."""
+    return (0.5 + rng.random()) * _unit_modulus(rng)
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian with phase fix)."""
     if n == 0:
@@ -291,6 +301,20 @@ def random_nilpotent(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
         if frob(power(mat, q - 1)) > 1e-3:
             return mat
     raise GenerationFailed(f"could not realize a {q}-nilpotent of size {n}")
+
+
+def _nil_summand(k: int, rng: np.random.Generator) -> np.ndarray:
+    """k x k nilpotent summand of order min(2, k); empty for k = 0."""
+    return random_nilpotent(k, min(2, k), rng) if k else zeros(0, 0)
+
+
+def _conjugated(rng: np.random.Generator, conjugate: bool, *mats: np.ndarray) -> tuple:
+    """U M U* for each M with one Haar unitary U drawn here, or the
+    matrices unchanged when ``conjugate`` is false (no draw)."""
+    if not conjugate:
+        return mats
+    u = random_unitary(mats[0].shape[0], rng)
+    return tuple(u @ t @ adjoint(u) for t in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +506,14 @@ def make_remark3_counterexample(
             _distinct_reals(rng, n1, lo=0.5, hi=2.5, signs=False), dtype=np.complex128
         )
         a1 = np.diag(d)
-        x11 = np.diag(
-            np.array(
-                [(0.5 + rng.random()) * _unit_modulus(rng) for _ in range(n1)],
-                dtype=np.complex128,
-            )
-        )
+        x11 = np.diag(np.array([_weight_scalar(rng) for _ in range(n1)], dtype=np.complex128))
         alpha = (0.6 + 0.8 * rng.random()) * _unit_modulus(rng)
         nil = zeros(2, 2)
         nil[0, 1] = alpha
         a = block_diag(a1, nil)
         x = block_diag(x11, eye(2))
-        a_d = drazin_inverse(a, policy)
         pos = frob(delta(adjoint(a), a, x, 3))
-        neg = frob(triangle(adjoint(a_d), a, x, 3))
+        neg = frob(triangle(resolve_pair(a, PairSelector.DRAZIN_ADJOINT, policy), a, x, 3))
         certified = _certify(
             [
                 ("delta3_defect", pos, 1e-9),
@@ -544,8 +562,7 @@ def make_commuting_core_weight(
         u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
         a = u @ block_diag(a1, a2) @ adjoint(u)
         x = u @ block_diag(x11, zeros(n2, n2)) @ adjoint(u)
-        a_d = drazin_inverse(a, policy)
-        b = adjoint(a_d)
+        b = resolve_pair(a, PairSelector.DRAZIN_ADJOINT, policy)
         certified = _certify(
             [
                 ("triangle_defect", *defect(TransformKind.TRIANGLE, b, a, x, m, policy)),
@@ -575,6 +592,15 @@ def _kernel_sample_block(kind, b_block, a_block, m, policy, rng):
     if basis.dim == 0:
         raise _CertFailure([("block_kernel_dim", 0.0, -1.0)])
     return basis.sample(rng)
+
+
+# weight hypothesis of each quadruple flavor: the transform, and the partner
+# of A (of B) in it
+_WEIGHT_HYPOTHESIS = {
+    "triangle-drazin": (TransformKind.TRIANGLE, PairSelector.DRAZIN_ADJOINT),
+    "triangle-adjoint": (TransformKind.TRIANGLE, PairSelector.ADJOINT),
+    "delta": (TransformKind.DELTA, PairSelector.ADJOINT),
+}
 
 
 def _quadruple_commutator_checks(a, b, x, y, policy):
@@ -616,61 +642,34 @@ def make_commuting_quadruple(
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for core dims ({nca},{ncb})")
     m = m if m is not None else 2 * qa - 1
     n = n if n is not None else 2 * qb - 1
-    pa = min(2, nna) if nna else 0
-    pb = min(2, nnb) if nnb else 0
     if flavor not in ("triangle-drazin", "delta"):
         raise ValueError(f"unknown flavor {flavor!r}")
+    kind, sel = _WEIGHT_HYPOTHESIS[flavor]
 
     def build():
-        sa, ta = (rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6) for _ in range(2))
-        sb, tb = (rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6) for _ in range(2))
-        na_core = random_nilpotent(nca, qa, rng)
-        nb_core = random_nilpotent(ncb, qb, rng)
-        a_ca = sa * eye(nca) + na_core
-        b_cb = tb * eye(ncb) + nb_core
-        nil_a = random_nilpotent(nna, pa, rng) if nna else zeros(0, 0)
-        nil_b = random_nilpotent(nnb, pb, rng) if nnb else zeros(0, 0)
+        sa, ta, sb, tb = (_core_scalar(rng, True) for _ in range(4))
+        a_ca = sa * eye(nca) + random_nilpotent(nca, qa, rng)
+        b_cb = tb * eye(ncb) + random_nilpotent(ncb, qb, rng)
+        nil_a, nil_b = _nil_summand(nna, rng), _nil_summand(nnb, rng)
 
         a = block_diag(a_ca, ta * eye(ncb), nil_a, zeros(nnb, nnb))
         b = block_diag(sb * eye(nca), b_cb, zeros(nna, nna), nil_b)
 
-        if flavor == "triangle-drazin":
-            x_ca = _kernel_sample_block(
-                TransformKind.TRIANGLE, adjoint(inverse(a_ca, policy)), a_ca, m, policy, rng
-            )
-            y_cb = _kernel_sample_block(
-                TransformKind.TRIANGLE, adjoint(inverse(b_cb, policy)), b_cb, n, policy, rng
-            )
-        else:
-            x_ca = _kernel_sample_block(
-                TransformKind.DELTA, adjoint(a_ca), a_ca, m, policy, rng
-            )
-            y_cb = _kernel_sample_block(
-                TransformKind.DELTA, adjoint(b_cb), b_cb, n, policy, rng
-            )
+        x_ca = _kernel_sample_block(kind, resolve_pair(a_ca, sel, policy), a_ca, m, policy, rng)
+        y_cb = _kernel_sample_block(kind, resolve_pair(b_cb, sel, policy), b_cb, n, policy, rng)
 
         if shared_weight:
             x = block_diag(x_ca, y_cb, zeros(nna, nna), zeros(nnb, nnb))
             y = x
         else:
-            c = (0.5 + rng.random()) * _unit_modulus(rng)
-            d = (0.5 + rng.random()) * _unit_modulus(rng)
+            c, d = _weight_scalar(rng), _weight_scalar(rng)
             x = block_diag(x_ca, c * eye(ncb), zeros(nna, nna), zeros(nnb, nnb))
             y = block_diag(d * eye(nca), y_cb, zeros(nna, nna), zeros(nnb, nnb))
 
-        if conjugate:
-            u = random_unitary(sum(dims), rng)
-            a, b, x, y = (u @ t @ adjoint(u) for t in (a, b, x, y))
-
-        if flavor == "triangle-drazin":
-            ba_full = adjoint(drazin_inverse(a, policy))
-            bb_full = adjoint(drazin_inverse(b, policy))
-        else:
-            ba_full, bb_full = adjoint(a), adjoint(b)
-        kind = TransformKind.TRIANGLE if flavor == "triangle-drazin" else TransformKind.DELTA
+        a, b, x, y = _conjugated(rng, conjugate, a, b, x, y)
         checks = [
-            ("defect_A_X", *defect(kind, ba_full, a, x, m, policy)),
-            ("defect_B_Y", *defect(kind, bb_full, b, y, n, policy)),
+            ("defect_A_X", *defect(kind, resolve_pair(a, sel, policy), a, x, m, policy)),
+            ("defect_B_Y", *defect(kind, resolve_pair(b, sel, policy), b, y, n, policy)),
         ]
         if shared_weight:
             # the shared-weight statement only assumes [A, B] = 0
@@ -722,51 +721,33 @@ def make_disjoint_quadruple(
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for core dims ({n1a},{n1b})")
     m = m if m is not None else 2 * qa - 1
     n = n if n is not None else 2 * qb - 1
-    pa = min(2, nsa) if nsa else 0
-    pb = min(2, nsb) if nsb else 0
     if flavor not in ("triangle-drazin", "triangle-adjoint"):
         raise ValueError(f"unknown flavor {flavor!r}")
+    kind, sel = _WEIGHT_HYPOTHESIS[flavor]
 
     def build():
-        if flavor == "triangle-drazin":
-            sa = rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6)
-            sb = rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6)
-        else:
-            sa, sb = _unit_modulus(rng), _unit_modulus(rng)
+        sa, sb = (_core_scalar(rng, flavor == "triangle-drazin") for _ in range(2))
         a_core = sa * eye(n1a) + random_nilpotent(n1a, qa, rng)
         b_core = sb * eye(n1b) + random_nilpotent(n1b, qb, rng)
-        nil_a = random_nilpotent(nsa, pa, rng) if nsa else zeros(0, 0)
-        nil_b = random_nilpotent(nsb, pb, rng) if nsb else zeros(0, 0)
+        nil_a, nil_b = _nil_summand(nsa, rng), _nil_summand(nsb, rng)
 
         a = block_diag(a_core, nil_a, zeros(n1b, n1b), zeros(nsb, nsb))
         b = block_diag(zeros(n1a, n1a), zeros(nsa, nsa), b_core, nil_b)
 
-        if flavor == "triangle-drazin":
-            pair_a = adjoint(inverse(a_core, policy))
-            pair_b = adjoint(inverse(b_core, policy))
-        else:
-            pair_a, pair_b = adjoint(a_core), adjoint(b_core)
-        x_a = _kernel_sample_block(TransformKind.TRIANGLE, pair_a, a_core, m, policy, rng)
-        y_b = _kernel_sample_block(TransformKind.TRIANGLE, pair_b, b_core, n, policy, rng)
+        pair_a, pair_b = (resolve_pair(t, sel, policy) for t in (a_core, b_core))
+        x_a = _kernel_sample_block(kind, pair_a, a_core, m, policy, rng)
+        y_b = _kernel_sample_block(kind, pair_b, b_core, n, policy, rng)
         x = block_diag(x_a, zeros(nsa, nsa), zeros(n1b, n1b), zeros(nsb, nsb))
         y = block_diag(zeros(n1a, n1a), zeros(nsa, nsa), y_b, zeros(nsb, nsb))
 
-        if conjugate:
-            u = random_unitary(sum(dims), rng)
-            a, b, x, y = (u @ t @ adjoint(u) for t in (a, b, x, y))
-
-        decomposed = {}
-        if flavor == "triangle-drazin":
-            decomposed["A"] = core_nilpotent_decompose(a, policy)
-            ba_full = adjoint(decomposed["A"].a_d)
-            bb_full = adjoint(drazin_inverse(b, policy))
-        else:
-            ba_full, bb_full = adjoint(a), adjoint(b)
+        a, b, x, y = _conjugated(rng, conjugate, a, b, x, y)
+        dd = core_nilpotent_decompose(a, policy) if sel.needs_drazin else None
+        ba_full = sel.partner(a, dd.a_d if dd else None)
         checks = [
             ("ab_product", frob(a @ b), policy.atol),
             ("ba_product", frob(b @ a), policy.atol),
-            ("defect_A_X", *defect(TransformKind.TRIANGLE, ba_full, a, x, m, policy)),
-            ("defect_B_Y", *defect(TransformKind.TRIANGLE, bb_full, b, y, n, policy)),
+            ("defect_A_X", *defect(kind, ba_full, a, x, m, policy)),
+            ("defect_B_Y", *defect(kind, resolve_pair(b, sel, policy), b, y, n, policy)),
         ]
         checks.extend(_quadruple_commutator_checks(a, b, x, y, policy))
         certified = _certify(checks)
@@ -783,7 +764,7 @@ def make_disjoint_quadruple(
                 "n": n,
                 "xy_norm": frob(x @ y),
             },
-            drazin=decomposed,
+            drazin={"A": dd} if dd else {},
         )
 
     return _with_retries(build)
@@ -822,16 +803,12 @@ def make_nilpotent_perturbation(
         raise InvalidOrder("disjoint placement needs a nonempty scalar block")
 
     def build():
-        if flavor == "delta":
-            sa = rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6)
-            tb = rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.6)
-        else:
-            sa, tb = _unit_modulus(rng), _unit_modulus(rng)
+        sa, tb = (_core_scalar(rng, flavor == "delta") for _ in range(2))
         core_nil = random_nilpotent(na, qa, rng)
         a_core = sa * eye(na) + core_nil
         a = block_diag(a_core, tb * eye(nb))
 
-        kind = TransformKind.DELTA if flavor == "delta" else TransformKind.TRIANGLE
+        kind = TransformKind(flavor)
         x_a = _kernel_sample_block(kind, adjoint(a_core), a_core, m, policy, rng)
         x_b = _cgauss(rng, nb, nb) if nb else zeros(0, 0)
         x = block_diag(x_a, x_b)
@@ -845,10 +822,7 @@ def make_nilpotent_perturbation(
             pert = block_diag(coeff * power(core_nil, r), zeros(nb, nb))
             q = -(-qa // r)  # ceil(qa / r): exact nilpotency order of core_nil^r
 
-        if conjugate:
-            u = random_unitary(na + nb, rng)
-            a, x, pert = (u @ t @ adjoint(u) for t in (a, x, pert))
-
+        a, x, pert = _conjugated(rng, conjugate, a, x, pert)
         b = adjoint(a)
         certified = _certify(
             [
@@ -865,6 +839,11 @@ def make_nilpotent_perturbation(
         )
 
     return _with_retries(build)
+
+
+# partner of A_i in each pair family; B_i = A_i^(-1) is the Drazin inverse
+# of an invertible A_i
+_PAIR_FAMILY = {"adjoint": PairSelector.ADJOINT, "inverse": PairSelector.DRAZIN}
 
 
 def make_product_pairs(
@@ -892,7 +871,7 @@ def make_product_pairs(
     if not 1 <= qa <= na or not 1 <= qb <= nb:
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for dims ({na},{nb})")
     for fam in families:
-        if fam not in ("adjoint", "inverse"):
+        if fam not in _PAIR_FAMILY:
             raise ValueError(f"unknown pair family {fam!r}")
     m1 = m1 if m1 is not None else 2 * qa - 1
     m2 = m2 if m2 is not None else 2 * qb - 1
@@ -900,10 +879,9 @@ def make_product_pairs(
     def one_pair(fam, size, q, order):
         if fam == "adjoint":
             alpha = _unit_modulus(rng) * eye(size) + random_nilpotent(size, q, rng)
-            beta = adjoint(alpha)
         else:
             alpha = random_invertible(size, rng, "real")
-            beta = inverse(alpha, policy)
+        beta = resolve_pair(alpha, _PAIR_FAMILY[fam], policy)
         xi = _kernel_sample_block(TransformKind.TRIANGLE, beta, alpha, order, policy, rng)
         return alpha, beta, xi
 
@@ -918,14 +896,9 @@ def make_product_pairs(
         b1 = block_diag(beta1, (1.0 / w1) * eye(nb))
         a2 = block_diag(w2 * eye(na), alpha2)
         b2 = block_diag((1.0 / w2) * eye(na), beta2)
-        c1 = (0.5 + rng.random()) * _unit_modulus(rng)
-        c2 = (0.5 + rng.random()) * _unit_modulus(rng)
-        x1 = block_diag(xi1, c1 * eye(nb))
-        x2 = block_diag(c2 * eye(na), xi2)
-
-        if conjugate:
-            u = random_unitary(na + nb, rng)
-            a1, b1, x1, a2, b2, x2 = (u @ t @ adjoint(u) for t in (a1, b1, x1, a2, b2, x2))
+        x1 = block_diag(xi1, _weight_scalar(rng) * eye(nb))
+        x2 = block_diag(_weight_scalar(rng) * eye(na), xi2)
+        a1, b1, x1, a2, b2, x2 = _conjugated(rng, conjugate, a1, b1, x1, a2, b2, x2)
 
         certified = _certify(
             [

@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from .drazin import DrazinData
-from .errors import DimensionMismatch, ToleranceInconsistency
+from .errors import DimensionMismatch, InvalidOrder, ToleranceInconsistency
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
@@ -59,7 +59,7 @@ def _operands(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
             f"B and A must be square of equal size, got {b.shape} and {a.shape}"
         )
     if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+        raise InvalidOrder(f"order must be >= 1, got {m}")
     return b, a
 
 
@@ -249,7 +249,7 @@ def minimal_order(
     violation is numerical breakdown and raises ToleranceInconsistency.
     """
     if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+        raise InvalidOrder(f"bound must be >= 1, got {bound}")
     kind = TransformKind(kind)
     # the defect of order k is one step applied to the defect of order k-1
     growth, x_norm = defect_growth(b, a), frob(x)

@@ -30,10 +30,7 @@ __all__ = [
     "power",
     "rank",
     "inverse",
-    "eigenvalues",
-    "vectorize",
     "unvectorize",
-    "is_zero",
     "frob",
     "one_norm",
     "spectral_norm",
@@ -145,19 +142,8 @@ def inverse(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray
     return np.linalg.solve(m, np.eye(n, dtype=np.complex128))
 
 
-def eigenvalues(m: np.ndarray) -> np.ndarray:
-    m = _require_square(np.asarray(m, dtype=np.complex128))
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
-    return np.linalg.eigvals(m)
-
-
-def vectorize(x: np.ndarray) -> np.ndarray:
-    """Column-major (column-stacking) vectorization."""
-    return np.asarray(x).reshape(-1, order="F")
-
-
 def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Inverse of column-major (column-stacking) vectorization."""
     v = np.asarray(v).reshape(-1)
     if v.size != rows * cols:
         raise DimensionMismatch(f"vector of length {v.size} is not {rows}x{cols}")
@@ -188,13 +174,6 @@ def condition(m: np.ndarray) -> float:
     if s[-1] == 0.0:
         return math.inf
     return float(s[0] / s[-1])
-
-
-def is_zero(m: np.ndarray, scale: float, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True iff ``||m||_F <= atol + rtol * scale``."""
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    return frob(m) <= policy.zero_threshold(scale)
 
 
 def eye(n: int) -> np.ndarray:

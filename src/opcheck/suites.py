@@ -32,6 +32,7 @@ from .drazin import (
 from .errors import (
     GenerationFailed,
     IllConditioned,
+    InvalidOrder,
     Singular,
     ToleranceInconsistency,
     UnknownSuite,
@@ -93,11 +94,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidOrder("trials must be >= 1")
         if self.dim_max < 2:
-            raise ValueError("dim_max must be >= 2")
+            raise InvalidOrder("dim_max must be >= 2")
         if self.order_max < 1:
-            raise ValueError("order_max must be >= 1")
+            raise InvalidOrder("order_max must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -333,10 +334,12 @@ def _trial_prop1(cfg, rng, extras, trial):
     return checks
 
 
-def _quad_params(rng, cfg):
+def _quad_params(rng, cfg, hi_core):
+    """Orders and block sizes of a quadruple: core sizes up to ``hi_core``
+    (at least the orders qa, qb), nilpotent sizes up to 2 within dim_max;
+    dims are (core A, core B, nil A, nil B)."""
     qa = _dim(rng, 1, min(2, cfg.order_max))
     qb = _dim(rng, 1, min(2, cfg.order_max))
-    hi_core = max(2, min(3, cfg.dim_max - 2))
     nca = _dim(rng, qa, max(qa, hi_core))
     ncb = _dim(rng, qb, max(qb, hi_core))
     rest = max(0, cfg.dim_max - nca - ncb)
@@ -347,61 +350,67 @@ def _quad_params(rng, cfg):
     return dict(dims=(nca, ncb, nna, nnb), qa=qa, qb=qb, m=m, n=n)
 
 
-def _trial_prop2(cfg, rng, extras, trial):
-    policy = cfg.policy
-    flavor = trial % 3
-    if flavor == 0:
-        params = _quad_params(rng, cfg)
-        inst = make_commuting_quadruple(rng, policy, flavor="delta", conjugate=bool(trial & 4), **params)
-        a, b, x, y = (inst.matrices[k] for k in "ABXY")
-        m, n = inst.meta["m"], inst.meta["n"]
-        xy = x @ y
-        detail = {"flavor": "product-sum", **{k: inst.meta[k] for k in ("dims", "m", "n")}}
-        return [
-            (clause, *defect(TransformKind.DELTA, bop, aop, xy, m + n - 1, policy), detail)
-            for clause, bop, aop in (
-                ("product_selfadjoint", adjoint(a) @ adjoint(b), a @ b),
-                ("sum_selfadjoint", adjoint(a) + adjoint(b), a + b),
-            )
-        ]
-    placement = "disjoint" if flavor == 1 else "power"
-    qa = _dim(rng, 2 if placement == "power" else 1, min(2, max(cfg.order_max, 2)))
+def _commuting_params(rng, cfg):
+    """Quadruple draw for the commuting builders: cores of up to 3 where
+    dim_max leaves room for them."""
+    return _quad_params(rng, cfg, max(2, min(3, cfg.dim_max - 2)))
+
+
+def _product_sum_checks(inst, weight, suffix, detail, policy):
+    """The shared conclusion of Prop 2, Cor 1 and Thm 3: the order-(m+n-1)
+    delta defects of (A*B*, AB) and (A*+B*, A+B) on the weight vanish."""
+    a, b = inst.matrices["A"], inst.matrices["B"]
+    order = inst.meta["m"] + inst.meta["n"] - 1
+    return [
+        (f"{clause}_{suffix}", *defect(TransformKind.DELTA, bop, aop, weight, order, policy), detail)
+        for clause, bop, aop in (
+            ("product", adjoint(a) @ adjoint(b), a @ b),
+            ("sum", adjoint(a) + adjoint(b), a + b),
+        )
+    ]
+
+
+def _perturbation_checks(cfg, rng, kind, placement, conjugate, clause):
+    """Prop 2 / Remark 1: perturbing A by a nilpotent N of order q that
+    commutes with it keeps the order-(m+q-1) defect of (A*, A+N) on X zero."""
+    qa = _dim(rng, 2 if placement == "power" else 1, 2)
     na = _dim(rng, max(qa, 2), max(qa, 3))
     nb = _dim(rng, 1, 2)
     m = _dim(rng, 1, cfg.order_max)
     inst = make_nilpotent_perturbation(
-        rng, policy, flavor="delta", na=na, nb=nb, qa=qa, m=m, nil_placement=placement,
-        conjugate=bool(trial & 4),
+        rng, cfg.policy, flavor=kind.value, na=na, nb=nb, qa=qa, m=m,
+        nil_placement=placement, conjugate=conjugate,
     )
-    a, x, nmat = inst.matrices["A"], inst.matrices["X"], inst.matrices["N"]
+    a, b, x, nmat = (inst.matrices[k] for k in ("A", "B", "X", "N"))
     q = inst.meta["q"]
-    order = m + q - 1
     detail = {"flavor": f"perturbation-{placement}", "m": m, "q": q}
-    return [
-        (
-            "perturbed_adjoint",
-            *defect(TransformKind.DELTA, adjoint(a), a + nmat, x, order, policy),
-            detail,
+    return [(clause, *defect(kind, b, a + nmat, x, m + q - 1, cfg.policy), detail)]
+
+
+def _trial_prop2(cfg, rng, extras, trial):
+    policy = cfg.policy
+    flavor = trial % 3
+    if flavor == 0:
+        inst = make_commuting_quadruple(
+            rng, policy, flavor="delta", conjugate=bool(trial & 4), **_commuting_params(rng, cfg)
         )
-    ]
+        detail = {"flavor": "product-sum", **{k: inst.meta[k] for k in ("dims", "m", "n")}}
+        xy = inst.matrices["X"] @ inst.matrices["Y"]
+        return _product_sum_checks(inst, xy, "selfadjoint", detail, policy)
+    return _perturbation_checks(
+        cfg, rng, TransformKind.DELTA, "disjoint" if flavor == 1 else "power",
+        bool(trial & 4), "perturbed_adjoint",
+    )
 
 
 def _trial_cor1(cfg, rng, extras, trial):
     policy = cfg.policy
-    params = _quad_params(rng, cfg)
     inst = make_commuting_quadruple(
-        rng, policy, flavor="delta", shared_weight=True, conjugate=bool(trial & 2), **params
+        rng, policy, flavor="delta", shared_weight=True, conjugate=bool(trial & 2),
+        **_commuting_params(rng, cfg),
     )
-    a, b, x = inst.matrices["A"], inst.matrices["B"], inst.matrices["X"]
-    m, n = inst.meta["m"], inst.meta["n"]
-    detail = {"dims": inst.meta["dims"], "m": m, "n": n}
-    return [
-        (clause, *defect(TransformKind.DELTA, bop, aop, x, m + n - 1, policy), detail)
-        for clause, bop, aop in (
-            ("product_shared_weight", adjoint(a) @ adjoint(b), a @ b),
-            ("sum_shared_weight", adjoint(a) + adjoint(b), a + b),
-        )
-    ]
+    detail = {"dims": inst.meta["dims"], "m": inst.meta["m"], "n": inst.meta["n"]}
+    return _product_sum_checks(inst, inst.matrices["X"], "shared_weight", detail, policy)
 
 
 def _trial_remark1(cfg, rng, extras, trial):
@@ -435,26 +444,10 @@ def _trial_remark1(cfg, rng, extras, trial):
                 detail,
             )
         ]
-    placement = "disjoint" if flavor == 1 else "power"
-    qa = _dim(rng, 2 if placement == "power" else 1, 2)
-    na = _dim(rng, max(qa, 2), max(qa, 3))
-    nb = _dim(rng, 1, 2)
-    m = _dim(rng, 1, cfg.order_max)
-    inst = make_nilpotent_perturbation(
-        rng, policy, flavor="triangle", na=na, nb=nb, qa=qa, m=m,
-        nil_placement=placement, conjugate=bool(trial & 8),
+    return _perturbation_checks(
+        cfg, rng, TransformKind.TRIANGLE, "disjoint" if flavor == 1 else "power",
+        bool(trial & 8), "perturbed_left_invertible",
     )
-    a, b, x, nmat = (inst.matrices[k] for k in ("A", "B", "X", "N"))
-    q = inst.meta["q"]
-    order = m + q - 1
-    detail = {"flavor": f"perturbation-{placement}", "m": m, "q": q}
-    return [
-        (
-            "perturbed_left_invertible",
-            *defect(TransformKind.TRIANGLE, b, a + nmat, x, order, policy),
-            detail,
-        )
-    ]
 
 
 def _trial_remark2(cfg, rng, extras, trial):
@@ -653,59 +646,44 @@ def _trial_thm2(cfg, rng, extras, trial):
 
 def _trial_thm3(cfg, rng, extras, trial):
     policy = cfg.policy
-    params = _quad_params(rng, cfg)
     inst = make_commuting_quadruple(
-        rng, policy, flavor="triangle-drazin", conjugate=bool(trial & 2), **params
+        rng, policy, flavor="triangle-drazin", conjugate=bool(trial & 2),
+        **_commuting_params(rng, cfg),
     )
-    a, b, x, y = (inst.matrices[k] for k in "ABXY")
-    m, n = inst.meta["m"], inst.meta["n"]
-    xy = x @ y
-    detail = {"dims": inst.meta["dims"], "m": m, "n": n, "xy_norm": inst.meta["xy_norm"]}
-    return [
-        (clause, *defect(TransformKind.DELTA, bop, aop, xy, m + n - 1, policy), detail)
-        for clause, bop, aop in (
-            ("product_selfadjoint", adjoint(a) @ adjoint(b), a @ b),
-            ("sum_selfadjoint", adjoint(a) + adjoint(b), a + b),
-        )
-    ]
+    detail = {k: inst.meta[k] for k in ("dims", "m", "n", "xy_norm")}
+    xy = inst.matrices["X"] @ inst.matrices["Y"]
+    return _product_sum_checks(inst, xy, "selfadjoint", detail, policy)
 
 
-def _disjoint_params(rng, cfg):
-    qa = _dim(rng, 1, min(2, cfg.order_max))
-    qb = _dim(rng, 1, min(2, cfg.order_max))
-    n1a = _dim(rng, qa, max(qa, 2))
-    n1b = _dim(rng, qb, max(qb, 2))
-    rest = max(0, cfg.dim_max - n1a - n1b)
-    nsa = _dim(rng, 0, min(2, rest))
-    nsb = _dim(rng, 0, min(2, max(0, rest - nsa)))
-    m = _dim(rng, 1, cfg.order_max)
-    n = _dim(rng, 1, cfg.order_max)
-    return dict(dims=(n1a, nsa, n1b, nsb), qa=qa, qb=qb, m=m, n=n)
+def _disjoint_sum(cfg, rng, trial, flavor):
+    """Thm 4 / Thm 5 set-up: a quadruple with AB = BA = 0, and the
+    conclusion both share, that (A+B)_d* is an (XY, m+n-1)-adjoint of A+B.
 
-
-def _trial_thm4(cfg, rng, extras, trial):
-    policy = cfg.policy
-    params = _disjoint_params(rng, cfg)
+    Returns (inst, A+B, (A+B)_d, XY, m+n-1, detail, checks)."""
+    params = _quad_params(rng, cfg, 2)
+    nca, ncb, nna, nnb = params["dims"]
     inst = make_disjoint_quadruple(
-        rng, policy, flavor="triangle-drazin", conjugate=bool(trial & 2), **params
+        rng, cfg.policy, flavor=flavor, conjugate=bool(trial & 2),
+        **{**params, "dims": (nca, nna, ncb, nnb)},
     )
     a, b, x, y = (inst.matrices[k] for k in "ABXY")
     m, n = inst.meta["m"], inst.meta["n"]
     xy = x @ y
     apb = a + b
-    apb_d = drazin_inverse(apb, policy)
+    apb_d = drazin_inverse(apb, cfg.policy)
     order = m + n - 1
     detail = {"dims": inst.meta["dims"], "m": m, "n": n}
-    checks = [
-        (
-            "sum_drazin_adjoint",
-            *defect(TransformKind.DELTA, adjoint(apb_d), apb, xy, order, policy),
-            detail,
-        )
-    ]
+    check = defect(TransformKind.DELTA, adjoint(apb_d), apb, xy, order, cfg.policy)
+    return inst, apb, apb_d, xy, order, detail, [("sum_drazin_adjoint", *check, detail)]
+
+
+def _trial_thm4(cfg, rng, extras, trial):
+    policy = cfg.policy
+    inst, apb, apb_d, _, _, detail, checks = _disjoint_sum(cfg, rng, trial, "triangle-drazin")
     # cross-check the block formula for (A+B)_d inside A's own decomposition,
     # the one the generator made to certify the instance
     dd = inst.drazin["A"]
+    b = inst.matrices["B"]
     bb = block_view(b, dd)
     b_leak = max(frob(bb.x11), frob(bb.x12), frob(bb.x21))
     checks.append(
@@ -735,30 +713,9 @@ def _trial_thm4(cfg, rng, extras, trial):
 
 
 def _trial_thm5(cfg, rng, extras, trial):
-    policy = cfg.policy
-    params = _disjoint_params(rng, cfg)
-    inst = make_disjoint_quadruple(
-        rng, policy, flavor="triangle-adjoint", conjugate=bool(trial & 2), **params
-    )
-    a, b, x, y = (inst.matrices[k] for k in "ABXY")
-    m, n = inst.meta["m"], inst.meta["n"]
-    xy = x @ y
-    apb = a + b
-    apb_d = drazin_inverse(apb, policy)
-    order = m + n - 1
-    detail = {"dims": inst.meta["dims"], "m": m, "n": n}
-    return [
-        (
-            "sum_isometric",
-            *defect(TransformKind.TRIANGLE, adjoint(apb), apb, xy, order, policy),
-            detail,
-        ),
-        (
-            "sum_drazin_adjoint",
-            *defect(TransformKind.DELTA, adjoint(apb_d), apb, xy, order, policy),
-            detail,
-        ),
-    ]
+    _, apb, _, xy, order, detail, checks = _disjoint_sum(cfg, rng, trial, "triangle-adjoint")
+    isometric = defect(TransformKind.TRIANGLE, adjoint(apb), apb, xy, order, cfg.policy)
+    return [("sum_isometric", *isometric, detail), *checks]
 
 
 _SUITES = {

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidOrder
 from .matcore import frob, spectral_norm
 
 __all__ = [
@@ -51,7 +51,7 @@ class TransformKind(str, Enum):
 
 def _operands(b, a, x, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m < 1:
-        raise ValueError(f"order must be >= 1, got {m}")
+        raise InvalidOrder(f"order must be >= 1, got {m}")
     b, a, x = (np.asarray(t, dtype=np.complex128) for t in (b, a, x))
     n = a.shape[0] if a.ndim == 2 else -1
     for name, mat in (("B", b), ("A", a), ("X", x)):

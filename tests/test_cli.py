@@ -2,6 +2,10 @@
 0 success/pass, 1 usage/parse error, 2 numerical failure, 3 verdict fail."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,10 +144,10 @@ class TestKernelCommand:
         argv = ["kernel", fixture_files["drazin3"], "--transform", "delta",
                 "--pair", "drazin-adjoint", "--order", "2"]
         assert main(argv) == 0
-        printed = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
         assert main(argv + ["--out", str(out)]) == 0
-        written = json.loads(out.read_text())
-        assert written == printed and written["dim"] > 0
+        written = out.read_text()
+        assert printed == written + "\n" and json.loads(written)["dim"] > 0
 
     def test_failed_decomposition_keeps_the_dense_kernel(self, fixture_files, monkeypatch, capsys):
         argv = ["kernel", fixture_files["drazin3"], "--transform", "delta", "--order", "2"]
@@ -275,3 +279,26 @@ class TestPolicyOverride:
 
 def test_no_command_is_usage_error():
     assert main([]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "{drazin3}", "--transform", "delta", "--pair", "adjoint", "--max-order", "0"],
+        ["kernel", "{drazin3}", "--transform", "delta", "--pair", "adjoint", "--order", "0"],
+        ["verify", "--trials", "0"],
+        ["verify", "--dim-max", "1"],
+        ["verify", "--order-max", "0"],
+    ],
+    ids=["classify-max-order", "kernel-order", "verify-trials", "verify-dim-max", "verify-order-max"],
+)
+def test_bad_order_or_count_is_usage_error(argv, fixture_files):
+    # run as a process, so an uncaught exception would show as a traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcheck", *(a.format(**fixture_files) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "opcheck: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

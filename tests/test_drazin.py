@@ -91,6 +91,26 @@ class TestDecomposition:
             got = dz.drazin_inverse(a, P)
             assert mc.frob(got - oracle) <= 1e-7 * max(1.0, mc.frob(oracle))
 
+    def test_one_svd_per_rank_decision(self, monkeypatch):
+        # invertible: the index search's one SVD; FIXTURE (index 2): three in
+        # the index search (A, A^2, A^3), the full SVD of A^2, cond(S) and the
+        # core block's rank check; the inverses take no SVD of their own
+        a = random_invertible(3, rng_for(1, 3))
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for mat, expected in ((a, 1), (FIXTURE, 6)):
+            calls.clear()
+            dz.core_nilpotent_decompose(mat, P)
+            assert len(calls) == expected, calls
+        monkeypatch.undo()
+        np.testing.assert_array_equal(dz.drazin_inverse(a, P), mc.inverse(a, P))
+
     def test_ill_conditioned_split_is_an_error(self):
         # rank-one idempotent-like matrix whose range and kernel are almost
         # parallel: the combined basis has condition ~2e9 > cond_max

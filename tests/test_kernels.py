@@ -52,8 +52,8 @@ class TestTransformMatrix:
                 tm = kn.transform_matrix(kind, b, a, m)
                 for _ in range(100):
                     x = _cgauss(rng, n)
-                    lhs = tm @ mc.vectorize(x)
-                    rhs = mc.vectorize(tf.transform(kind, b, a, x, m))
+                    lhs = tm @ x.reshape(-1, order="F")
+                    rhs = tf.transform(kind, b, a, x, m).reshape(-1, order="F")
                     assert np.abs(lhs - rhs).max() <= P.rtol * tf.defect_scale(b, a, x, m)
 
     def test_rejects_mismatched_shapes(self):
@@ -90,7 +90,7 @@ class TestKernel:
         assert basis.dim >= 1
         for i, x in enumerate(basis.basis):
             for j, y in enumerate(basis.basis):
-                inner = np.vdot(mc.vectorize(y), mc.vectorize(x))
+                inner = np.vdot(y.reshape(-1, order="F"), x.reshape(-1, order="F"))
                 target = 1.0 if i == j else 0.0
                 assert abs(inner - target) <= 1e-10
 
@@ -109,7 +109,7 @@ class TestKernel:
             for _ in range(10):
                 y = _cgauss(rng, 3)
                 for x in basis.basis:
-                    y -= np.vdot(mc.vectorize(x), mc.vectorize(y)) * x
+                    y -= np.vdot(x.reshape(-1, order="F"), y.reshape(-1, order="F")) * x
                 if mc.frob(y) < 1e-6:
                     continue
                 y /= mc.frob(y)
@@ -140,7 +140,7 @@ def _largest_angle_sine(basis0, basis1) -> float:
     """Sine of the largest principal angle between two equal-dimension spans."""
     if not basis0:
         return 0.0
-    v0, v1 = (np.stack([mc.vectorize(x) for x in b], axis=1) for b in (basis0, basis1))
+    v0, v1 = (np.stack([x.reshape(-1, order="F") for x in b], axis=1) for b in (basis0, basis1))
     return float(np.linalg.norm(v1 - v0 @ (v0.conj().T @ v1), 2))
 
 

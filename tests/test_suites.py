@@ -139,14 +139,15 @@ def test_draw_coverage_spans_dims_and_orders():
 
 def test_quadruple_draw_coverage():
     cfg = SuiteConfig(suite="thm3", trials=1, dim_max=8, order_max=4, seed=0)
-    for draw in (su._quad_params, su._disjoint_params):
+    # core bounds: the commuting quadruples' at dim_max 8, the disjoint ones'
+    for hi_core in (3, 2):
         totals = set()
         orders = set()
         for t in range(400):
             rng = rng_for(1, 998, t)
-            params = draw(rng, cfg)
+            params = su._quad_params(rng, cfg, hi_core)
             totals.add(sum(params["dims"]))
             orders.add(params["m"])
             orders.add(params["n"])
-        assert totals.issuperset(range(2, 9)), (draw.__name__, sorted(totals))
-        assert orders == {1, 2, 3, 4}, (draw.__name__, sorted(orders))
+        assert totals.issuperset(range(2, 9)), (hi_core, sorted(totals))
+        assert orders == {1, 2, 3, 4}, (hi_core, sorted(orders))
