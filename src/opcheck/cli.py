@@ -7,12 +7,17 @@ files), ``verify`` (run verification suites).
 Exit codes are a stable contract: 0 success/pass, 1 usage or parse error,
 2 numerical failure (ill-conditioning), 3 suite verdict fail. The
 environment variable ``OPCHECK_POLICY`` may point to a JSON file overriding
-NumericPolicy fields.
+NumericPolicy fields; it is read on every call of ``main``.
+
+``main`` builds its argument parser once per process (``build_parser`` is
+cached) and looks each ``cmd_*`` handler up by name when it runs, so a
+handler rebound on this module takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,6 +139,8 @@ def cmd_classify(args, policy: NumericPolicy) -> int:
     if a.shape[0] != a.shape[1]:
         raise ParseError(f"classify needs a square matrix, got {a.shape}")
     x = load_matrix(args.weight) if args.weight else eye(a.shape[0])
+    if args.max_order < 1:
+        raise InvalidOrder(f"bound must be >= 1, got {args.max_order}")
     kind = TransformKind(args.transform)
     b = resolve_pair(a, PairSelector(args.pair), policy)
     result = minimal_order(kind, b, a, x, args.max_order, policy)
@@ -155,6 +162,8 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
     a = load_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
         raise ParseError(f"kernel needs a square matrix, got {a.shape}")
+    if args.order < 1:
+        raise InvalidOrder(f"order must be >= 1, got {args.order}")
     kind = TransformKind(args.transform)
     sel = PairSelector(args.pair)
     # every partner is block diagonal in A's core-nilpotent splitting, which
@@ -255,14 +264,16 @@ def cmd_verify(args, policy: NumericPolicy) -> int:
     return EXIT_OK if all_pass else EXIT_VERDICT
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``opcheck`` parser, built once and shared by every call: parse
+    with it, but do not mutate it."""
     parser = _Parser(prog="opcheck", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("drazin", help="index, Drazin inverse and axiom residuals")
     p.add_argument("matrix", help="matrix JSON file")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p.set_defaults(func=cmd_drazin)
 
     p = sub.add_parser("classify", help="minimal-order scan for a transform/pair")
     p.add_argument("matrix", help="matrix JSON file")
@@ -271,7 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--weight", help="weight matrix JSON file (default: identity)")
     p.add_argument("--max-order", type=int, default=6)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("kernel", help="orthonormal basis of the weight kernel")
     p.add_argument("matrix", help="matrix JSON file")
@@ -279,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pair", choices=[s.value for s in PairSelector], required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--out", help="write the basis JSON here instead of stdout")
-    p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("example", help="generate a certified seeded instance")
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
@@ -287,7 +296,6 @@ def build_parser() -> _Parser:
     p.add_argument("--orders", default="", help="comma-separated orders")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
@@ -296,7 +304,6 @@ def build_parser() -> _Parser:
     p.add_argument("--order-max", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="write the report JSON here")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -309,7 +316,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         policy = _load_policy()
-        return args.func(args, policy)
+        return globals()[f"cmd_{args.command}"](args, policy)
     except (ParseError, InvalidOrder, UnknownSuite) as exc:
         print(f"opcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -213,7 +213,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _entry(k: int, cols: int) -> str:
+    """The ``(i,j)`` of flat index k into a ``rows x cols x 2`` array."""
+    return "({},{})".format(*divmod(k // 2, cols))
+
+
 def matrix_from_json(obj) -> np.ndarray:
+    """Parse the matrix document; every malformed one raises ParseError.
+
+    ``data`` is checked as one array: a ragged or mis-shaped nest, a
+    non-numeric entry, a non-finite value or an integer beyond the double
+    range is rejected. Bools count as numbers, and an integer converts to
+    the double that Python's ``float`` rounds it to. Signed zeros survive.
+    """
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be a JSON object")
     try:
@@ -224,27 +236,47 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError("rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"data must hold {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"row {i} must hold {cols} entries")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(f"entry ({i},{j}) must be a [re, im] pair")
-            re, im = entry
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-                raise ParseError(f"entry ({i},{j}) must hold numbers")
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ParseError(f"entry ({i},{j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+    if rows == 0:
+        return zeros(0, cols)
+    try:
+        arr = np.asarray(data)
+    except ValueError as exc:
+        raise ParseError(f"data is not a {rows}x{cols} array of [re, im] pairs") from exc
+    if cols == 0:
+        if arr.shape != (rows, 0):
+            raise ParseError(f"data must hold {rows} empty rows")
+        return zeros(rows, 0)
+    if arr.shape != (rows, cols, 2):
+        raise ParseError(
+            f"data must be a {rows}x{cols} array of [re, im] pairs, got shape {arr.shape}"
+        )
+    if arr.dtype == object:
+        # integers beyond 64 bits, or null/objects among the numbers
+        vals = np.empty(arr.size)
+        for k, v in enumerate(arr.flat):
+            if not isinstance(v, (int, float)):
+                raise ParseError(f"entry {_entry(k, cols)} must hold numbers")
+            try:
+                vals[k] = float(v)
+            except OverflowError as exc:
+                raise ParseError(f"entry {_entry(k, cols)} is beyond the double range") from exc
+        arr = vals.reshape(arr.shape)
+    elif arr.dtype.kind not in "biuf":
+        raise ParseError("matrix entries must hold numbers")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ParseError(f"entry {_entry(int(bad[0]), cols)} is not finite")
+    return np.ascontiguousarray(arr, np.float64).view(np.complex128)[..., 0]
 
 
 def load_matrix(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and an integer
+    # literal beyond the interpreter's digit limit; RecursionError is deep
+    # nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read matrix file {path}: {exc}") from exc
     return matrix_from_json(obj)
 

@@ -270,6 +270,19 @@ class TestPolicyOverride:
         # with a huge absolute tolerance every order passes immediately
         assert "minimal order: 1" in capsys.readouterr().out
 
+    def test_policy_is_read_on_every_call(self, fixture_files, tmp_path, capsys, monkeypatch):
+        argv = ["classify", fixture_files["jordan"], "--transform", "delta",
+                "--pair", "adjoint", "--max-order", "5"]
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"atol": 100.0}))
+        for env, expected in ((None, 3), (str(policy), 1), (None, 3)):
+            if env is None:
+                monkeypatch.delenv("OPCHECK_POLICY", raising=False)
+            else:
+                monkeypatch.setenv("OPCHECK_POLICY", env)
+            assert main(argv) == 0
+            assert f"minimal order: {expected}" in capsys.readouterr().out
+
     def test_bad_policy_file_is_usage_error(self, fixture_files, tmp_path, monkeypatch):
         policy = tmp_path / "policy.json"
         policy.write_text("{broken")
@@ -281,6 +294,23 @@ def test_no_command_is_usage_error():
     assert main([]) == 1
 
 
+def _run_opcheck(argv):
+    """Run ``opcheck`` in a fresh process, so an uncaught exception would
+    show as a traceback and nothing is shared with earlier calls."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("OPCHECK_POLICY", None)
+    return subprocess.run(
+        [sys.executable, "-m", "opcheck", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def _assert_usage_error(proc):
+    assert proc.returncode == 1, proc.stderr
+    assert "opcheck: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -289,16 +319,61 @@ def test_no_command_is_usage_error():
         ["verify", "--trials", "0"],
         ["verify", "--dim-max", "1"],
         ["verify", "--order-max", "0"],
+        # the order is checked before A's ill-conditioned splitting is attempted
+        ["kernel", "{oblique}", "--transform", "delta", "--pair", "drazin-adjoint", "--order", "0"],
+        ["classify", "{oblique}", "--transform", "delta", "--pair", "drazin", "--max-order", "0"],
     ],
-    ids=["classify-max-order", "kernel-order", "verify-trials", "verify-dim-max", "verify-order-max"],
+    ids=["classify-max-order", "kernel-order", "verify-trials", "verify-dim-max", "verify-order-max",
+         "kernel-order-ill-conditioned", "classify-max-order-ill-conditioned"],
 )
 def test_bad_order_or_count_is_usage_error(argv, fixture_files):
-    # run as a process, so an uncaught exception would show as a traceback
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "opcheck", *(a.format(**fixture_files) for a in argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "opcheck: error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    _assert_usage_error(_run_opcheck([a.format(**fixture_files) for a in argv]))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]}\xff',
+        b"[" * 100_000,
+        b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 400 + b', 0]]]}',
+    ],
+    ids=["non-utf8", "deep-nesting", "400-digit-integer"],
+)
+def test_malformed_matrix_file_is_usage_error(content, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    _assert_usage_error(_run_opcheck(["drazin", str(path)]))
+
+
+def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    out = str(tmp_path / "basis.json")
+    calls = [
+        ["classify", fixture_files["jordan"], "--transform", "spiral", "--pair", "adjoint"],
+        ["classify", fixture_files["drazin3"], "--transform", "delta", "--pair", "drazin",
+         "--max-order", "4", "--json"],
+        ["kernel", fixture_files["drazin3"], "--transform", "delta", "--pair", "drazin-adjoint",
+         "--order", "2", "--out", out],
+    ]
+    codes = []
+    for argv in calls:
+        fresh = _run_opcheck(argv)
+        codes.append(fresh.returncode)
+        written = None
+        if "--out" in argv:
+            written = Path(out).read_text()
+            Path(out).unlink()
+        assert main(argv) == fresh.returncode
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (fresh.stdout, fresh.stderr)
+        if written is not None:
+            assert Path(out).read_text() == written
+    assert codes == [1, 0, 0]
+
+
+def test_handlers_are_looked_up_when_called(fixture_files, monkeypatch):
+    assert main(["drazin", fixture_files["drazin3"]]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_drazin", lambda args, policy: seen.append(args.matrix) or 0)
+    assert main(["drazin", fixture_files["jordan"]]) == 0
+    assert seen == [fixture_files["jordan"]]

@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from entrywise import entrywise_matrix_from_json
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcheck import matcore as mc
@@ -200,6 +201,33 @@ class TestJsonFormat:
         with pytest.raises(ParseError):
             mc.load_matrix(path)
 
+    def test_rejects_integer_beyond_double_range(self):
+        doc = {"rows": 1, "cols": 1, "data": [[[10**400, 0]]]}
+        with pytest.raises(ParseError, match=r"entry \(0,0\) is beyond the double range"):
+            mc.matrix_from_json(doc)
+
+    def test_non_finite_error_names_the_entry(self):
+        doc = mc.matrix_to_json(mc.eye(3))
+        doc["data"][2][1] = [0.0, float("inf")]
+        with pytest.raises(ParseError, match=r"entry \(2,1\) is not finite"):
+            mc.matrix_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]}\xff',
+            b"[" * 100_000,
+            b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 400 + b', 0]]]}',
+            b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 5000 + b', 0]]]}',
+        ],
+        ids=["non-utf8", "deep-nesting", "400-digit-integer", "5000-digit-integer"],
+    )
+    def test_malformed_file_is_parse_error(self, tmp_path, content):
+        path = tmp_path / "m.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            mc.load_matrix(path)
+
     def test_as_matrix_rejects_inf(self):
         with pytest.raises(ParseError):
             mc.as_matrix([[np.inf, 0], [0, 1]])
@@ -219,6 +247,73 @@ class TestJsonFormat:
                   mc.zeros(0, 3), mc.zeros(2, 0)):
             got = mc.matrix_to_json(m)["data"]
             assert json.dumps(got) == json.dumps(reference(m))
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 0, 1, True, False, 2**53 + 1, 2**63 - 1,
+                     2**63, -(2**63), 2**64, 2**64 + 1, -(2**64), 2**1023 * 3 // 2]),
+)
+NOT_NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -(10**400),
+                               "1.5", "", None, {}, {"re": 1.0}])
+BAD_ENTRIES = st.sampled_from([[], [1.0], [1.0, 2.0, 3.0], 1.0, "x", None, [[1.0, 2.0], 0.0]])
+
+
+@st.composite
+def matrix_documents(draw):
+    """A matrix document, valid or with one kind of defect."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    defect = draw(st.sampled_from(["none", "none", "value", "entry", "ragged", "rows", "cols"]))
+    value = st.one_of(NUMBERS, NOT_NUMBERS) if defect == "value" else NUMBERS
+    data = [[[draw(value), draw(value)] for _ in range(cols)] for _ in range(rows)]
+    if data and cols and defect == "entry":
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        data[i][j] = draw(BAD_ENTRIES)
+    if data and defect == "ragged":
+        row = data[draw(st.integers(0, rows - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append([1.0, 0.0])
+    doc = {"rows": rows + (defect == "rows"), "cols": cols + (defect == "cols"), "data": data}
+    return json.loads(json.dumps(doc))
+
+
+def _parsed(parse, doc):
+    """(shape, bytes) of an accepted document, None for a rejected one."""
+    try:
+        m = parse(doc)
+    except ParseError:
+        return None
+    return m.shape, m.tobytes()
+
+
+def _entrywise_parsed(doc):
+    try:
+        return _parsed(entrywise_matrix_from_json, doc)
+    except OverflowError:  # the loop's math.isfinite on an integer beyond the double range
+        return None
+
+
+class TestJsonParseMatchesEntrywise:
+    @settings(max_examples=400, deadline=None)
+    @given(matrix_documents())
+    @example({"rows": 0, "cols": 3, "data": []})
+    @example({"rows": 2, "cols": 0, "data": [[], []]})
+    @example({"rows": 1, "cols": 2, "data": [[[-0.0, 0.0], [1e-300, -0.0]]]})
+    @example({"rows": 1, "cols": 2, "data": [[[2**63, 2**64], [True, -(2**64) - 1]]]})
+    @example({"rows": 1, "cols": 1, "data": [[[10**400, 0]]]})
+    @example({"rows": 1, "cols": 2, "data": [[[1.0, 0.0], [2.0]]]})
+    def test_same_matrix_or_both_reject(self, doc):
+        assert _parsed(mc.matrix_from_json, doc) == _entrywise_parsed(doc)
+
+    def test_square_round_trip_is_exact(self):
+        m = _cgauss(_rng(12), 48, 48)
+        m[0, 0], m[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        doc = json.loads(json.dumps(mc.matrix_to_json(m)))
+        got = mc.matrix_from_json(doc)
+        assert got.tobytes() == m.tobytes() == entrywise_matrix_from_json(doc).tobytes()
 
 
 class TestBlockDiag:
