@@ -4,10 +4,11 @@ Subcommands: ``drazin`` (index/inverse report), ``classify`` (minimal-order
 scan), ``kernel`` (weight-space basis), ``example`` (seeded instance
 files), ``verify`` (run verification suites).
 
-Exit codes are a stable contract: 0 success/pass, 1 usage or parse error,
-2 numerical failure (ill-conditioning), 3 suite verdict fail. The
-environment variable ``OPCHECK_POLICY`` may point to a JSON file overriding
-NumericPolicy fields; it is read on every call of ``main``.
+Exit codes are a stable contract: 0 success/pass, 1 usage or parse error
+(an output path that cannot be written included), 2 numerical failure
+(ill-conditioning), 3 suite verdict fail. The environment variable
+``OPCHECK_POLICY`` may point to a JSON file overriding NumericPolicy
+fields; it is read on every call of ``main``.
 
 ``main`` builds its argument parser once per process (``build_parser`` is
 cached) and looks each ``cmd_*`` handler up by name when it runs, so a
@@ -317,7 +318,8 @@ def main(argv=None) -> int:
     try:
         policy = _load_policy()
         return globals()[f"cmd_{args.command}"](args, policy)
-    except (ParseError, InvalidOrder, UnknownSuite) as exc:
+    except (ParseError, InvalidOrder, UnknownSuite, OSError) as exc:
+        # OSError: an --out or --report path that cannot be written
         print(f"opcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IllConditioned, Singular, ToleranceInconsistency) as exc:

@@ -47,26 +47,23 @@ __all__ = [
 ]
 
 
-def _power_rank(ak: np.ndarray, k: int, base_scale: float, policy: NumericPolicy) -> int:
-    """Rank of the k-th power with the zero floor of the policy.
+def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray, int]:
+    """Index p of a square A, together with A^p and its rank.
 
     A relative cutoff alone cannot tell an exactly nilpotent power apart
-    from its rounding dirt (whose largest singular value is ~eps), so
-    singular values are also floored at atol times the natural magnitude
-    ||A||^k of the power.
+    from its rounding dirt (whose largest singular value is ~eps), so the
+    singular values of A^k are also floored at atol times the natural
+    magnitude ||A||^k of the power; ||A||_2 is the largest singular value
+    of A^1, the first power searched.
     """
-    s = np.linalg.svd(ak, compute_uv=False)
-    return _spectral_rank(s, policy.rank_rtol, policy.atol * max(1.0, base_scale) ** k)
-
-
-def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray, int]:
-    """Index p of a square A, together with A^p and its rank."""
     n = a.shape[0]
-    base = float(np.linalg.norm(a, 2)) if n else 0.0
-    ak, rank_k = np.eye(n, dtype=np.complex128), n
+    ak, rank_k, base = np.eye(n, dtype=np.complex128), n, 0.0
     for k in range(n):
         nxt = ak @ a
-        r = _power_rank(nxt, k + 1, base, policy)
+        s = np.linalg.svd(nxt, compute_uv=False)
+        if k == 0:
+            base = float(s[0])
+        r = _spectral_rank(s, policy.rank_rtol, policy.atol * max(1.0, base) ** (k + 1))
         if r == rank_k:
             return k, ak, rank_k
         ak, rank_k = nxt, r

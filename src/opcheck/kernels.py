@@ -3,10 +3,12 @@ class membership tests, and minimal-order search.
 
 Under column-major vectorization, ``vec(B X A) = (A^T kron B) vec(X)``, so
 both transforms become n^2 x n^2 matrices acting on vec(X). The kernel of
-that matrix is the full space of weights X annihilated by the transform;
-it is extracted by SVD with the policy's relative cutoff, and the gap
-between accepted and rejected singular values is reported so callers can
-spot unreliable dimensions.
+that matrix is the full space of weights X annihilated by the transform.
+The singular values alone decide its dimension, with the policy's relative
+cutoff, and the gap between accepted and rejected singular values is
+reported so callers can spot unreliable dimensions. Singular vectors are
+computed afterwards, and only for a map that has a kernel: most maps have
+none, and a full SVD takes about twice as long as a values-only one.
 
 Given A's core-nilpotent decomposition, :func:`kernel` splits the weight
 space when that splitting is unitary (``cond_s - 1 <= rank_rtol``). Then
@@ -76,12 +78,15 @@ def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.n
     for _ in range(m):
         ap.append(ap[-1] @ a)
         bp.append(bp[-1] @ b)
-    size = a.shape[0] * b.shape[0]
-    acc = np.zeros((size, size), dtype=np.complex128)
+    # kron(R, L)[i p + k, j p + l] = R[i, j] L[k, l]: each term is built as
+    # the (q, p, q, p) broadcast product and the sum reshaped once
+    q, p = a.shape[0], b.shape[0]
+    acc = np.zeros((q, p, q, p), dtype=np.complex128)
     for j in range(m + 1):
         right = ap[m - j] if kind == TransformKind.TRIANGLE else ap[j]
-        acc += (-1) ** j * comb(m, j) * np.kron(right.T, bp[m - j])
-    return acc
+        term = right.T[:, None, :, None] * bp[m - j][None, :, None, :]
+        acc += (-1) ** j * comb(m, j) * term
+    return acc.reshape(q * p, q * p)
 
 
 def _normalize_phase(x: np.ndarray) -> np.ndarray:
@@ -162,7 +167,14 @@ def kernel(
     unitary and proper, the transform is split into the four block maps
     (see the module docstring); a ``dd`` that does not block-diagonalize
     both B and A raises ValueError. Otherwise the whole n^2 x n^2 map is
-    one block. Either way the rank is decided once over all singular values.
+    one block. Either way the rank is decided once over the singular values
+    of every block, taken without vectors; then only a block with a value at
+    or below the cutoff gets a full SVD, whose trailing right singular
+    vectors are its part of the basis.
+
+    ``singular_values``, ``cutoff`` and ``gap`` come from the values-only
+    SVDs. ``gap`` divides by the largest discarded value, which is often
+    rounding noise, so its digits carry no meaning beyond its magnitude.
     """
     kind = TransformKind(kind)
     b, a = _operands(b, a, m)
@@ -171,11 +183,8 @@ def kernel(
         blocks = _split_blocks(kind, b, a, m, dd, policy)
     else:
         blocks = [(None, None, transform_matrix(kind, b, a, m))]
-    svds = [np.linalg.svd(tm, full_matrices=True)[1:] for *_, tm in blocks]
-    if len(svds) == 1:
-        sv = svds[0][0]
-    else:
-        sv = np.sort(np.concatenate([s for s, _ in svds]))[::-1]
+    svals = [np.linalg.svd(tm, compute_uv=False) for *_, tm in blocks]
+    sv = svals[0] if len(svals) == 1 else np.sort(np.concatenate(svals))[::-1]
     # A map whose norm sits below the defect zero threshold annihilates
     # every weight up to rounding; the relative cutoff alone cannot see
     # that, so it gets an absolute floor at the package-wide zero scale.
@@ -192,11 +201,15 @@ def kernel(
         gap = math.inf
     else:
         gap = float(sv[rank_ - 1] / sv[rank_])
+    # the last size - keep right singular vectors span a block's kernel
     basis = []
-    for (left, right, _), (s, vh) in zip(blocks, svds):
+    for (left, right, tm), s in zip(blocks, svals):
+        keep = np.count_nonzero(s > cutoff)
+        if keep == s.size:
+            continue
         rows = left.shape[1] if left is not None else n
         cols = right.shape[1] if right is not None else n
-        for v in vh[np.count_nonzero(s > cutoff):]:
+        for v in np.linalg.svd(tm, full_matrices=True)[2][keep:]:
             y = unvectorize(v.conj(), rows, cols)
             basis.append(_normalize_phase(y if left is None else left @ y @ adjoint(right)))
     return KernelBasis(

@@ -223,8 +223,9 @@ def matrix_from_json(obj) -> np.ndarray:
 
     ``data`` is checked as one array: a ragged or mis-shaped nest, a
     non-numeric entry, a non-finite value or an integer beyond the double
-    range is rejected. Bools count as numbers, and an integer converts to
-    the double that Python's ``float`` rounds it to. Signed zeros survive.
+    range is rejected. Bools count as numbers in ``data`` but not as
+    ``rows``/``cols``, and an integer converts to the double that Python's
+    ``float`` rounds it to. Signed zeros survive.
     """
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be a JSON object")
@@ -232,7 +233,8 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing matrix field: {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    # bool is an int subclass, but a JSON true/false is not a size
+    if any(type(v) is bool or not isinstance(v, int) or v < 0 for v in (rows, cols)):
         raise ParseError("rows/cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"data must hold {rows} rows")

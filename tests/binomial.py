@@ -1,7 +1,8 @@
 """The binomial-sum form of both transforms, as the paper writes them.
 
-The package evaluates each transform by applying its one-step map m times;
-this module is the independent oracle that evaluation is checked against.
+The package evaluates each transform by applying its one-step map m times,
+and builds its matrix on column-stacked weights from broadcast products;
+this module is the independent oracle both are checked against.
 """
 
 from math import comb
@@ -24,4 +25,21 @@ def binomial_transform(kind, b, a, x, m: int) -> np.ndarray:
     for j in range(m + 1):
         right = ap[m - j] if TransformKind(kind) == TransformKind.TRIANGLE else ap[j]
         acc += (-1) ** j * comb(m, j) * (bp[m - j] @ x @ right)
+    return acc
+
+
+def kron_transform_matrix(kind, b, a, m: int) -> np.ndarray:
+    """Matrix of X -> binomial_transform(kind, B, A, X, m) on column-stacked
+    p x q weights X, for square B (p x p) and A (q x q), by the identity
+    vec(L X R) = (R^T kron L) vec(X)."""
+    b, a = (np.asarray(t, dtype=np.complex128) for t in (b, a))
+    bp, ap = [np.eye(b.shape[0], dtype=np.complex128)], [np.eye(a.shape[0], dtype=np.complex128)]
+    for _ in range(m):
+        bp.append(bp[-1] @ b)
+        ap.append(ap[-1] @ a)
+    size = a.shape[0] * b.shape[0]
+    acc = np.zeros((size, size), dtype=np.complex128)
+    for j in range(m + 1):
+        right = ap[m - j] if TransformKind(kind) == TransformKind.TRIANGLE else ap[j]
+        acc += (-1) ** j * comb(m, j) * np.kron(right.T, bp[m - j])
     return acc

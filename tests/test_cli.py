@@ -345,6 +345,22 @@ def test_malformed_matrix_file_is_usage_error(content, tmp_path):
     _assert_usage_error(_run_opcheck(["drazin", str(path)]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "{drazin3}", "--transform", "delta", "--pair", "adjoint", "--order", "1",
+         "--out", "{missing}/x.json"],
+        ["verify", "--suite", "remark3", "--trials", "2", "--report", "{missing}/r.json"],
+        ["example", "--family", "drazin-block", "--dims", "2,1", "--orders", "1",
+         "--out", "{drazin3}"],
+    ],
+    ids=["kernel-out", "verify-report", "example-out-is-a-file"],
+)
+def test_unwritable_output_is_usage_error(argv, fixture_files, tmp_path):
+    names = dict(fixture_files, missing=str(tmp_path / "missing"))
+    _assert_usage_error(_run_opcheck([a.format(**names) for a in argv]))
+
+
 def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     out = str(tmp_path / "basis.json")

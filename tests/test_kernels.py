@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from binomial import kron_transform_matrix
 
 from opcheck import drazin as dz
 from opcheck import kernels as kn
@@ -59,6 +60,27 @@ class TestTransformMatrix:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionMismatch):
             kn.transform_matrix(TK.DELTA, mc.eye(2), mc.eye(3), 1)
+
+    def test_equals_kron_oracle_bitwise(self):
+        rng = rng_for(0, 109)
+        for n in range(1, 7):
+            for m in range(1, 5):
+                b, a = _cgauss(rng, n), _cgauss(rng, n)
+                for kind in TK:
+                    got = kn.transform_matrix(kind, b, a, m)
+                    want = kron_transform_matrix(kind, b, a, m)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_block_map_equals_kron_oracle_bitwise(self):
+        # the split kernel's block maps act on p x q weights with p != q
+        rng = rng_for(1, 109)
+        for p, q in ((1, 3), (3, 1), (2, 5), (4, 2)):
+            b, a = _cgauss(rng, p), _cgauss(rng, q)
+            for kind in TK:
+                for m in (1, 2, 4):
+                    got = kn._kron_sum(kind, b, a, m)
+                    want = kron_transform_matrix(kind, b, a, m)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestKernel:
@@ -144,6 +166,13 @@ def _largest_angle_sine(basis0, basis1) -> float:
     return float(np.linalg.norm(v1 - v0 @ (v0.conj().T @ v1), 2))
 
 
+def _oblique(rng):
+    """A 5 x 5 A whose core-nilpotent splitting (3 + 2) is far from unitary."""
+    u, w = random_unitary(5, rng), random_unitary(5, rng)
+    v = u @ np.diag(np.geomspace(1.0, 100.0, 5)).astype(complex) @ w
+    return v @ mc.block_diag(random_invertible(3, rng), random_nilpotent(2, 2, rng)) @ mc.inverse(v)
+
+
 class TestSplitKernel:
     """``kernel(..., dd=dd)`` against the one-SVD kernel of the whole map."""
 
@@ -168,10 +197,7 @@ class TestSplitKernel:
                             assert kn.is_member(kind, b, a, x, m, P)
 
     def test_oblique_splitting_takes_the_dense_path(self):
-        rng = rng_for(12, 106)
-        u, w = random_unitary(5, rng), random_unitary(5, rng)
-        v = u @ np.diag(np.geomspace(1.0, 100.0, 5)).astype(complex) @ w
-        a = v @ mc.block_diag(random_invertible(3, rng), random_nilpotent(2, 2, rng)) @ mc.inverse(v)
+        a = _oblique(rng_for(12, 106))
         dd = dz.core_nilpotent_decompose(a, P)
         assert dd.cond_s - 1 > P.rank_rtol and dd.dim_h1 == 3
         for sel in dz.PairSelector:
@@ -192,6 +218,92 @@ class TestSplitKernel:
             for kind in TK:
                 with pytest.raises(ValueError):
                     kn.kernel(kind, mc.adjoint(a), a, 1, P, dd)
+
+
+def _reference_kernel(kind, b, a, m, dd=None):
+    """(dim, cutoff, basis) from the full SVD of every block: the rank is
+    cut over all singular values and each block's basis read from its V^H."""
+    n = a.shape[0]
+    if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= P.rank_rtol:
+        blocks = kn._split_blocks(kind, b, a, m, dd, P)
+    else:
+        blocks = [(None, None, kn.transform_matrix(kind, b, a, m))]
+    svds = [np.linalg.svd(tm, full_matrices=True)[1:] for *_, tm in blocks]
+    sv = np.sort(np.concatenate([s for s, _ in svds]))[::-1]
+    zero_floor = P.zero_threshold(tf.defect_growth(b, a) ** m)
+    if sv[0] > zero_floor:
+        cutoff, rank_ = P.rank_rtol * sv[0], mc._spectral_rank(sv, P.rank_rtol)
+    else:
+        cutoff, rank_ = zero_floor, 0
+    basis = []
+    for (left, right, _), (s, vh) in zip(blocks, svds):
+        rows = left.shape[1] if left is not None else n
+        cols = right.shape[1] if right is not None else n
+        for v in vh[np.count_nonzero(s > cutoff):]:
+            y = mc.unvectorize(v.conj(), rows, cols)
+            basis.append(kn._normalize_phase(y if left is None else left @ y @ mc.adjoint(right)))
+    return sv.size - rank_, cutoff, basis
+
+
+_KERNEL_INPUTS = {
+    "block-4-2-2": lambda rng: make_drazin_block(4, 2, 2, rng, P).matrices["A"],
+    "conjugated-3-3-2": lambda rng: make_drazin_block(
+        3, 3, 2, rng, P, conjugate=True).matrices["A"],
+    "reciprocal-2-2-1": lambda rng: make_drazin_block(
+        2, 2, 1, rng, P, conjugate=True, spectrum="reciprocal").matrices["A"],
+    "real-3-1-1": lambda rng: make_drazin_block(3, 1, 1, rng, P, spectrum="real").matrices["A"],
+    "nilpotent-4": lambda rng: random_nilpotent(4, 3, rng),
+    "invertible-4": lambda rng: random_invertible(4, rng),
+    "identity-3": lambda rng: mc.eye(3),
+    "oblique-5": _oblique,
+}
+
+
+class TestKernelSvds:
+    """Singular values of every block decide the rank; singular vectors are
+    computed only for the blocks that have a kernel."""
+
+    @pytest.mark.parametrize(
+        "kind, sel, full",
+        [(TK.TRIANGLE, "adjoint", []), (TK.DELTA, "drazin-adjoint", [4])],
+        ids=["triangle-adjoint", "delta-drazin-adjoint"],
+    )
+    def test_full_svd_only_for_blocks_with_a_kernel(self, kind, sel, full, monkeypatch):
+        # unitary splitting of A (8 x 8) into core 6 and nil 2: block maps of
+        # size 36, 12, 12 and 4; at order 2 only the delta map's (nil, nil)
+        # block has a kernel. The two 8 x 8 SVDs are ||A||_2 and ||B||_2 of
+        # the zero floor.
+        a = make_drazin_block(6, 2, 2, rng_for(14, 108), P).matrices["A"]
+        dd = dz.core_nilpotent_decompose(a, P)
+        b = dz.PairSelector(sel).partner(a, dd.a_d)
+        svd = np.linalg.svd
+        values, vectors = [], []
+
+        def counting(x, *args, compute_uv=True, **kwargs):
+            (vectors if compute_uv else values).append(x.shape[0])
+            return svd(x, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        basis = kn.kernel(kind, b, a, 2, P, dd)
+        monkeypatch.undo()
+        assert sorted(values) == [4, 8, 8, 12, 12, 36] and vectors == full
+        assert basis.dim == sum(full)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["dense", "split"])
+    @pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
+    def test_matches_full_svd_of_every_block(self, name, split):
+        a = _KERNEL_INPUTS[name](rng_for(15, 110, list(_KERNEL_INPUTS).index(name)))
+        dd = dz.core_nilpotent_decompose(a, P)
+        for sel in dz.PairSelector:
+            b = sel.partner(a, dd.a_d)
+            for kind in TK:
+                for m in (1, 2, 3):
+                    got = kn.kernel(kind, b, a, m, P, dd if split else None)
+                    dim, cutoff, basis = _reference_kernel(kind, b, a, m, dd if split else None)
+                    assert got.dim == dim == len(got.basis)
+                    assert abs(got.cutoff - cutoff) <= 1e-14 * cutoff
+                    for x, y in zip(got.basis, basis, strict=True):
+                        assert x.tobytes() == y.tobytes()
 
 
 class TestMembership:

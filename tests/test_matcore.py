@@ -191,6 +191,13 @@ class TestJsonFormat:
         with pytest.raises(ParseError):
             mc.matrix_from_json(doc)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_rejects_boolean_size(self, field):
+        doc = {"rows": 1, "cols": 1, "data": [[[1, 0]]]}
+        doc[field] = True
+        with pytest.raises(ParseError):
+            mc.matrix_from_json(doc)
+
     def test_rejects_non_object(self):
         with pytest.raises(ParseError):
             mc.matrix_from_json([1, 2, 3])
