@@ -177,7 +177,10 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
             raise
         dd = None
     b = sel.partner(a, dd.a_d if dd else None)
-    basis = kernel(kind, b, a, args.order, policy, dd)
+    # an overflowing transform ends in IllConditioned; numpy's overflow
+    # warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = kernel(kind, b, a, args.order, policy, dd)
     doc = basis.to_json()
     if sel.needs_drazin:
         doc["block_norms"] = []

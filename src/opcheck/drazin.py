@@ -24,6 +24,7 @@ from .matcore import (
     _require_square,
     _spectral_rank,
     adjoint,
+    as_matrix,
     condition,
     frob,
     matrix_to_json,
@@ -72,7 +73,7 @@ def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray,
 
 def index_of(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Least k >= 0 with rank(A^k) = rank(A^(k+1)); 0 means invertible."""
-    return _index_power(_require_square(np.asarray(a, dtype=np.complex128)), policy)[0]
+    return _index_power(_require_square(as_matrix(a)), policy)[0]
 
 
 def axiom_residuals(a: np.ndarray, a_d: np.ndarray, p: int) -> tuple[float, float, float]:
@@ -140,7 +141,7 @@ class DrazinData:
 def core_nilpotent_decompose(
     a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY
 ) -> DrazinData:
-    a = _require_square(np.asarray(a, dtype=np.complex128))
+    a = _require_square(as_matrix(a))
     n = a.shape[0]
     p, ap, r = _index_power(a, policy)
 

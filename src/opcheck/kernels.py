@@ -20,10 +20,27 @@ together have exactly the singular values of the n^2 x n^2 map: one SVD
 per block, of size n_i n_j, gives the same rank decision and the same
 kernel. For an oblique splitting the coordinate change is not unitary,
 the singular values differ, and the kernel takes one dense SVD.
+
+For the adjoint pair B = A* (and so the self pair of a Hermitian A) the
+rank decision takes cheaper SVDs. Both transforms then map Hermitian
+weights to Hermitian weights, times i^m for delta, and so does every
+diagonal block map. In an orthonormal basis of Hermitian matrices such a
+map, times c = 1 (triangle) or (-i)^m (delta), is a real matrix R, and a
+real SVD takes about half as long as a complex one of the same size (from
+5 x 5 weights on; a smaller block keeps its complex SVD, which costs less
+than building R). The two off-diagonal block maps mirror each other,
+L_ji(Y^*) = +-(L_ij(Y))^*, and Y -> Y^* is an isometry, so they share one
+set of singular values. R is the real part of c U^H T U for the complex block matrix T. The exact
+map's form is real, so the dropped imaginary part is rounding of T's build
+(of order eps times the binomial terms, eps ||T|| when they do not cancel),
+and R is no farther from the exact form than T is from the exact map; by
+Weyl's inequality the values move by no more than that. The vectors still
+come from the complex SVD of the block matrix itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from math import comb
@@ -31,12 +48,13 @@ from math import comb
 import numpy as np
 
 from .drazin import DrazinData
-from .errors import DimensionMismatch, InvalidOrder, ToleranceInconsistency
+from .errors import DimensionMismatch, IllConditioned, InvalidOrder, ToleranceInconsistency
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
     _spectral_rank,
     adjoint,
+    as_matrix,
     frob,
     matrix_to_json,
     unvectorize,
@@ -54,9 +72,8 @@ __all__ = [
 
 
 def _operands(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
-    b = np.asarray(b, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != a.shape:
+    b, a = as_matrix(b), as_matrix(a)
+    if a.shape[0] != a.shape[1] or b.shape != a.shape:
         raise DimensionMismatch(
             f"B and A must be square of equal size, got {b.shape} and {a.shape}"
         )
@@ -87,6 +104,62 @@ def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.n
         term = right.T[:, None, :, None] * bp[m - j][None, :, None, :]
         acc += (-1) ** j * comb(m, j) * term
     return acc.reshape(q * p, q * p)
+
+
+@functools.cache
+def _hermitian_frame(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w, conj(w)) of the orthonormal Hermitian basis of p x p
+    matrices, in the column-stacked order of the weights: the element at
+    the position of entry (k, l) is w E_kl + conj(w) E_lk, that is E_kk on
+    the diagonal (w = 1/2, counting E_kk twice), (E_kl + E_lk)/sqrt(2)
+    above it (w = 1/sqrt(2)) and i(E_lk - E_kl)/sqrt(2) below it
+    (w = -i/sqrt(2))."""
+    r = math.sqrt(0.5)
+    w = np.triu(np.full((p, p), r + 0j), 1) + np.tril(np.full((p, p), -1j * r), -1)
+    w[np.diag_indices(p)] = 0.5
+    w = w.T  # position k + l p is the entry (k, l)
+    wc = w.conj()
+    w.setflags(write=False)
+    wc.setflags(write=False)
+    return w, wc
+
+
+def _real_form(t: np.ndarray, imaginary: bool) -> np.ndarray:
+    """Re(c U^H T U) up to sign, for U the Hermitian frame of the p x p
+    weights that T acts on: the real part of U^H T U, or for c = +-i its
+    imaginary part (a sign changes no singular value). Each column of U
+    has its two entries at the positions of X_kl and X_lk, so both
+    products are a transpose of two axes of T seen as a (p, p, p, p) array
+    (axes: output column, output row, input column, input row) and a
+    weighted sum, not a matrix product."""
+    p = math.isqrt(t.shape[0])
+    w, wc = _hermitian_frame(p)
+    t4 = t.reshape(p, p, p, p)
+    tu = t4 * w + t4.swapaxes(2, 3) * wc
+    z = wc[:, :, None, None] * tu + w[:, :, None, None] * tu.swapaxes(0, 1)
+    return (z.imag if imaginary else z.real).reshape(p * p, p * p)
+
+
+# Below 5 x 5 weights (25 rows of the block map) a real form costs more to
+# build, a fixed count of passes over the map, than its real SVD saves.
+_REAL_FORM_MIN = 25
+
+
+def _value_forms(kind: TransformKind, tms: list, m: int) -> list:
+    """For B = A*, the matrix whose singular values are each block map's:
+    the real form of a diagonal block of at least _REAL_FORM_MIN weights,
+    and None for the (nil, core) block, whose values are those of its mirror
+    (core, nil) just before it. The phase c is 1 for triangle and (-i)^m for
+    delta, imaginary for odd m."""
+    imaginary = kind == TransformKind.DELTA and m % 2 == 1
+
+    def diagonal(t):
+        return _real_form(t, imaginary) if t.shape[0] >= _REAL_FORM_MIN else t
+
+    if len(tms) == 1:
+        return [diagonal(tms[0])]
+    t11, t12, _, t22 = tms
+    return [diagonal(t11), t12, None, diagonal(t22)]
 
 
 def _normalize_phase(x: np.ndarray) -> np.ndarray:
@@ -170,11 +243,18 @@ def kernel(
     one block. Either way the rank is decided once over the singular values
     of every block, taken without vectors; then only a block with a value at
     or below the cutoff gets a full SVD, whose trailing right singular
-    vectors are its part of the basis.
+    vectors are its part of the basis. When B equals A^* exactly, the
+    values of each diagonal block of at least 5 x 5 weights (the dense map
+    counts as one block) come from its real form, and the two off-diagonal
+    blocks share one SVD.
 
     ``singular_values``, ``cutoff`` and ``gap`` come from the values-only
-    SVDs. ``gap`` divides by the largest discarded value, which is often
-    rounding noise, so its digits carry no meaning beyond its magnitude.
+    SVDs, and for B = A^* from the real forms, so they can move in the last
+    bits while ``dim`` and the basis do not. ``gap`` divides by the largest
+    discarded value, which is often rounding noise, so its digits carry no
+    meaning beyond its magnitude. Non-finite operands raise ParseError; a
+    block map or zero floor that overflows raises IllConditioned, before any
+    SVD (after numpy's overflow warnings, if those are on).
     """
     kind = TransformKind(kind)
     b, a = _operands(b, a, m)
@@ -182,13 +262,24 @@ def kernel(
     if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= policy.rank_rtol:
         blocks = _split_blocks(kind, b, a, m, dd, policy)
     else:
-        blocks = [(None, None, transform_matrix(kind, b, a, m))]
-    svals = [np.linalg.svd(tm, compute_uv=False) for *_, tm in blocks]
-    sv = svals[0] if len(svals) == 1 else np.sort(np.concatenate(svals))[::-1]
+        blocks = [(None, None, _kron_sum(kind, b, a, m))]
+    tms = [tm for *_, tm in blocks]
+    forms = _value_forms(kind, tms, m) if np.array_equal(b, adjoint(a)) else tms
     # A map whose norm sits below the defect zero threshold annihilates
     # every weight up to rounding; the relative cutoff alone cannot see
     # that, so it gets an absolute floor at the package-wide zero scale.
-    zero_floor = policy.zero_threshold(defect_growth(b, a) ** m)
+    try:
+        zero_floor = policy.zero_threshold(defect_growth(b, a) ** m)
+    except OverflowError:
+        zero_floor = math.inf
+    # every matrix an SVD may take, once: the block maps and the real forms
+    svd_inputs = {id(x): x for x in (*tms, *forms) if x is not None}.values()
+    if not (math.isfinite(zero_floor) and all(np.isfinite(x).all() for x in svd_inputs)):
+        raise IllConditioned(f"the order-{m} transform of these operators overflows")
+    svals = []
+    for x in forms:
+        svals.append(svals[-1] if x is None else np.linalg.svd(x, compute_uv=False))
+    sv = svals[0] if len(svals) == 1 else np.sort(np.concatenate(svals))[::-1]
     if sv.size and sv[0] > zero_floor:
         cutoff = policy.rank_rtol * sv[0]
         rank_ = _spectral_rank(sv, policy.rank_rtol)
@@ -264,6 +355,7 @@ def minimal_order(
     if bound < 1:
         raise InvalidOrder(f"bound must be >= 1, got {bound}")
     kind = TransformKind(kind)
+    b, a, x = as_matrix(b), as_matrix(a), as_matrix(x)
     # the defect of order k is one step applied to the defect of order k-1
     growth, x_norm = defect_growth(b, a), frob(x)
     residuals: list[float] = []

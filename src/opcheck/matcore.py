@@ -79,7 +79,7 @@ def as_matrix(data) -> np.ndarray:
     m = np.asarray(data, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ParseError("matrix entries must be finite")
     return m
 

@@ -361,6 +361,18 @@ def test_unwritable_output_is_usage_error(argv, fixture_files, tmp_path):
     _assert_usage_error(_run_opcheck([a.format(**names) for a in argv]))
 
 
+@pytest.mark.parametrize("kind", ["delta", "triangle"])
+def test_overflowing_kernel_is_numerical_failure(kind, tmp_path):
+    # finite entries whose order-2 transform matrix overflows to inf
+    path = tmp_path / "huge.json"
+    mc.save_matrix(path, np.array([[1e200, 1e200], [0, 1e200]], dtype=complex))
+    proc = _run_opcheck(["kernel", str(path), "--transform", kind, "--pair", "adjoint",
+                         "--order", "2"])
+    assert proc.returncode == 2, proc.stderr
+    assert "opcheck: numerical failure:" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     out = str(tmp_path / "basis.json")

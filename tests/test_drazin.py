@@ -6,7 +6,7 @@ import pytest
 
 from opcheck import drazin as dz
 from opcheck import matcore as mc
-from opcheck.errors import IllConditioned, NotSquare
+from opcheck.errors import IllConditioned, NotSquare, ParseError
 from opcheck.generators import (
     make_drazin_block,
     random_invertible,
@@ -35,6 +35,14 @@ class TestIndex:
     def test_not_square(self):
         with pytest.raises(NotSquare):
             dz.index_of(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_parse_error(self, entry):
+        a = np.array([[entry, 1], [0, 1]], dtype=complex)
+        with pytest.raises(ParseError):
+            dz.index_of(a, P)
+        with pytest.raises(ParseError):
+            dz.core_nilpotent_decompose(a, P)
 
     def test_conjugated_nilpotent_keeps_exact_index(self):
         # rounding dirt in powers of a rotated nilpotent must not inflate rank

@@ -11,7 +11,12 @@ from opcheck import drazin as dz
 from opcheck import kernels as kn
 from opcheck import matcore as mc
 from opcheck import transforms as tf
-from opcheck.errors import DimensionMismatch, ToleranceInconsistency
+from opcheck.errors import (
+    DimensionMismatch,
+    IllConditioned,
+    ParseError,
+    ToleranceInconsistency,
+)
 from opcheck.generators import (
     make_drazin_block,
     random_invertible,
@@ -24,6 +29,7 @@ P = mc.DEFAULT_POLICY
 TK = tf.TransformKind
 JORDAN2 = np.array([[1, 1], [0, 1]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+NAN = np.array([[np.nan, 1], [0, 1]], dtype=complex)
 
 
 def _cgauss(rng, n):
@@ -157,6 +163,23 @@ class TestKernel:
         doc = kn.kernel(TK.TRIANGLE, mc.adjoint(mc.inverse(a, P)), a, 1, P).to_json()
         assert doc["kind"] == "triangle" and doc["dim"] == len(doc["basis"])
 
+    @pytest.mark.parametrize("operand", ["B", "A"])
+    def test_non_finite_operand_is_parse_error(self, operand):
+        for bad in (NAN, np.array([[np.inf, 1], [0, 1]], dtype=complex)):
+            b, a = (bad, mc.eye(2)) if operand == "B" else (mc.adjoint(bad), bad)
+            for kind in TK:
+                with pytest.raises(ParseError):
+                    kn.kernel(kind, b, a, 2, P)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_map_is_ill_conditioned(self):
+        # finite operands whose order-2 map or zero floor overflows
+        huge = np.array([[1e200, 1e200], [0, 1e200]], dtype=complex)
+        for b, a in ((mc.adjoint(huge), huge), (huge, huge), (mc.eye(2), huge)):
+            for kind in TK:
+                with pytest.raises(IllConditioned):
+                    kn.kernel(kind, b, a, 2, P)
+
 
 def _largest_angle_sine(basis0, basis1) -> float:
     """Sine of the largest principal angle between two equal-dimension spans."""
@@ -221,8 +244,9 @@ class TestSplitKernel:
 
 
 def _reference_kernel(kind, b, a, m, dd=None):
-    """(dim, cutoff, basis) from the full SVD of every block: the rank is
-    cut over all singular values and each block's basis read from its V^H."""
+    """(dim, cutoff, basis, values) from the full complex SVD of every
+    block: the rank is cut over all singular values and each block's basis
+    read from its V^H."""
     n = a.shape[0]
     if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= P.rank_rtol:
         blocks = kn._split_blocks(kind, b, a, m, dd, P)
@@ -242,7 +266,16 @@ def _reference_kernel(kind, b, a, m, dd=None):
         for v in vh[np.count_nonzero(s > cutoff):]:
             y = mc.unvectorize(v.conj(), rows, cols)
             basis.append(kn._normalize_phase(y if left is None else left @ y @ mc.adjoint(right)))
-    return sv.size - rank_, cutoff, basis
+    return sv.size - rank_, cutoff, basis, sv
+
+
+def _singular_hermitian(rng):
+    """A 7 x 7 Hermitian A of rank 5: B = A^* is then bitwise A itself, so
+    the self pair takes the real form too, and its splitting is unitary
+    with a core block of 5 x 5 weights, large enough for the real form."""
+    u = random_unitary(7, rng)
+    h = u @ np.diag([2.0, -0.5, 1.5, 1.0, -1.2, 0.0, 0.0]).astype(complex) @ mc.adjoint(u)
+    return (h + mc.adjoint(h)) / 2
 
 
 _KERNEL_INPUTS = {
@@ -256,38 +289,76 @@ _KERNEL_INPUTS = {
     "invertible-4": lambda rng: random_invertible(4, rng),
     "identity-3": lambda rng: mc.eye(3),
     "oblique-5": _oblique,
+    "hermitian-5-2": _singular_hermitian,
 }
 
 
 class TestKernelSvds:
     """Singular values of every block decide the rank; singular vectors are
-    computed only for the blocks that have a kernel."""
+    computed only for the blocks that have a kernel. For B = A^* the values
+    of a diagonal block come from its real form, and the two off-diagonal
+    blocks share one SVD."""
 
     @pytest.mark.parametrize(
-        "kind, sel, full",
-        [(TK.TRIANGLE, "adjoint", []), (TK.DELTA, "drazin-adjoint", [4])],
+        "kind, sel, values, full",
+        [
+            (TK.TRIANGLE, "adjoint", ["c8", "c8", "c12", "f36", "c4"], []),
+            (TK.DELTA, "drazin-adjoint", ["c12", "c12", "c36", "c4", "c8", "c8"], ["c4"]),
+        ],
         ids=["triangle-adjoint", "delta-drazin-adjoint"],
     )
-    def test_full_svd_only_for_blocks_with_a_kernel(self, kind, sel, full, monkeypatch):
+    def test_full_svd_only_for_blocks_with_a_kernel(self, kind, sel, values, full, monkeypatch):
         # unitary splitting of A (8 x 8) into core 6 and nil 2: block maps of
         # size 36, 12, 12 and 4; at order 2 only the delta map's (nil, nil)
         # block has a kernel. The two 8 x 8 SVDs are ||A||_2 and ||B||_2 of
-        # the zero floor.
+        # the zero floor. Each SVD is recorded as dtype kind ("c" complex,
+        # "f" real) and size; the 2 x 2 (nil, nil) weights are too few for
+        # the real form to pay.
         a = make_drazin_block(6, 2, 2, rng_for(14, 108), P).matrices["A"]
         dd = dz.core_nilpotent_decompose(a, P)
         b = dz.PairSelector(sel).partner(a, dd.a_d)
         svd = np.linalg.svd
-        values, vectors = [], []
+        seen = {False: [], True: []}
 
         def counting(x, *args, compute_uv=True, **kwargs):
-            (vectors if compute_uv else values).append(x.shape[0])
+            seen[compute_uv].append(f"{x.dtype.kind}{x.shape[0]}")
             return svd(x, *args, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         basis = kn.kernel(kind, b, a, 2, P, dd)
         monkeypatch.undo()
-        assert sorted(values) == [4, 8, 8, 12, 12, 36] and vectors == full
-        assert basis.dim == sum(full)
+        assert sorted(seen[False]) == sorted(values) and seen[True] == full
+        assert basis.dim == sum(int(x[1:]) for x in full)
+
+    def test_hermitian_frame_is_unitary_and_real_form_drops_rounding(self):
+        rng = rng_for(16, 112)
+        eps = np.finfo(float).eps
+        for p in range(1, 6):
+            # column j of U: w_j e_j + conj(w_j) e_t(j), t(j) the position of
+            # the transposed entry
+            w = kn._hermitian_frame(p)[0].reshape(-1)
+            t = np.arange(p * p).reshape(p, p).T.reshape(-1)
+            u = np.zeros((p * p, p * p), dtype=complex)
+            u[np.arange(p * p), np.arange(p * p)] += w
+            u[t, np.arange(p * p)] += w.conj()
+            assert np.abs(mc.adjoint(u) @ u - np.eye(p * p)).max() <= 4 * eps
+            for col in u.T:
+                x = mc.unvectorize(col, p, p)
+                assert np.array_equal(x, mc.adjoint(x))
+            a = _cgauss(rng, p)
+            for kind in TK:
+                for m in (1, 2, 3):
+                    tm = kn.transform_matrix(kind, mc.adjoint(a), a, m)
+                    c = 1 if kind == TK.TRIANGLE else (-1j) ** m
+                    full = c * (mc.adjoint(u) @ tm @ u)
+                    # the rounding of the binomial build is relative to its
+                    # terms, whose size is at most growth^m; ||T|| can be far
+                    # smaller after cancellation
+                    bound = 4 * eps * tf.defect_growth(mc.adjoint(a), a) ** m
+                    assert mc.frob(full.imag) <= bound
+                    # Re(c Z) is +-Re(Z) for c = +-1 and +-Im(Z) for c = +-i
+                    got = (c.real - c.imag) * kn._real_form(tm, c.imag != 0)
+                    assert np.abs(got - full.real).max() <= bound
 
     @pytest.mark.parametrize("split", [False, True], ids=["dense", "split"])
     @pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
@@ -299,9 +370,14 @@ class TestKernelSvds:
             for kind in TK:
                 for m in (1, 2, 3):
                     got = kn.kernel(kind, b, a, m, P, dd if split else None)
-                    dim, cutoff, basis = _reference_kernel(kind, b, a, m, dd if split else None)
+                    dim, cutoff, basis, sv = _reference_kernel(
+                        kind, b, a, m, dd if split else None)
                     assert got.dim == dim == len(got.basis)
                     assert abs(got.cutoff - cutoff) <= 1e-14 * cutoff
+                    # also for B = A^*, whose values come from the real forms
+                    # and the shared mirrored SVD
+                    assert got.singular_values.dtype == np.float64
+                    assert np.abs(got.singular_values - sv).max() <= 1e-13 * sv[0]
                     for x, y in zip(got.basis, basis, strict=True):
                         assert x.tobytes() == y.tobytes()
 
@@ -365,6 +441,13 @@ class TestMinimalOrder:
         flat = mc.NumericPolicy(atol=2e-11, rtol=0.0)
         with pytest.raises(ToleranceInconsistency):
             kn.minimal_order(TK.TRIANGLE, a, a, x, 6, flat)
+
+    @pytest.mark.parametrize("operand", ["B", "A", "X"])
+    def test_non_finite_operand_is_parse_error(self, operand):
+        ops = {"B": mc.adjoint(JORDAN2), "A": JORDAN2, "X": mc.eye(2), operand: NAN}
+        for kind in TK:
+            with pytest.raises(ParseError):
+                kn.minimal_order(kind, ops["B"], ops["A"], ops["X"], 3, P)
 
     def test_result_json(self):
         res = kn.minimal_order(TK.DELTA, mc.adjoint(JORDAN2), JORDAN2, mc.eye(2), 4, P)
