@@ -18,6 +18,7 @@ handler rebound on this module takes effect on the next call.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -90,12 +91,8 @@ def _load_policy() -> NumericPolicy:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        fields = {
-            k: float(doc[k])
-            for k in ("atol", "rtol", "rank_rtol", "cond_max")
-            if k in doc
-        }
-        return NumericPolicy(**fields)
+        names = [f.name for f in dataclasses.fields(NumericPolicy)]
+        return NumericPolicy(**{k: float(doc[k]) for k in names if k in doc})
     except (OSError, json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"bad policy file {path}: {exc}") from exc
 
@@ -119,7 +116,10 @@ def cmd_drazin(args, policy: NumericPolicy) -> int:
     a = load_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
         raise ParseError(f"drazin needs a square matrix, got {a.shape}")
-    dd = core_nilpotent_decompose(a, policy)
+    # an overflowing power of A ends in IllConditioned; numpy's overflow
+    # warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        dd = core_nilpotent_decompose(a, policy)
     doc = dd.to_json(a)
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -167,19 +167,19 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
         raise InvalidOrder(f"order must be >= 1, got {args.order}")
     kind = TransformKind(args.transform)
     sel = PairSelector(args.pair)
-    # every partner is block diagonal in A's core-nilpotent splitting, which
-    # lets the kernel split; when A cannot be decomposed, the self and
-    # adjoint pairs take the one dense SVD
-    try:
-        dd = core_nilpotent_decompose(a, policy)
-    except (IllConditioned, Singular):
-        if sel.needs_drazin:
-            raise
-        dd = None
-    b = sel.partner(a, dd.a_d if dd else None)
-    # an overflowing transform ends in IllConditioned; numpy's overflow
-    # warnings on the way there would only repeat it
+    # an overflowing power of A or transform ends in IllConditioned; numpy's
+    # overflow warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
+        # every partner is block diagonal in A's core-nilpotent splitting,
+        # which lets the kernel split; when A cannot be decomposed, the self
+        # and adjoint pairs take the one dense SVD
+        try:
+            dd = core_nilpotent_decompose(a, policy)
+        except (IllConditioned, Singular):
+            if sel.needs_drazin:
+                raise
+            dd = None
+        b = sel.partner(a, dd.a_d if dd else None)
         basis = kernel(kind, b, a, args.order, policy, dd)
     doc = basis.to_json()
     if sel.needs_drazin:

@@ -12,6 +12,7 @@ basis is checked against the policy and failure raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,7 +42,6 @@ __all__ = [
     "core_nilpotent_decompose",
     "drazin_inverse",
     "block_view",
-    "assemble_blocks",
     "resolve_pair",
     "axiom_residuals",
     "axiom_threshold",
@@ -55,16 +55,23 @@ def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray,
     from its rounding dirt (whose largest singular value is ~eps), so the
     singular values of A^k are also floored at atol times the natural
     magnitude ||A||^k of the power; ||A||_2 is the largest singular value
-    of A^1, the first power searched.
+    of A^1, the first power searched. A magnitude that overflows raises
+    IllConditioned.
     """
     n = a.shape[0]
-    ak, rank_k, base = np.eye(n, dtype=np.complex128), n, 0.0
+    ak, rank_k, base = np.eye(n, dtype=np.complex128), n, 1.0
     for k in range(n):
         nxt = ak @ a
         s = np.linalg.svd(nxt, compute_uv=False)
         if k == 0:
-            base = float(s[0])
-        r = _spectral_rank(s, policy.rank_rtol, policy.atol * max(1.0, base) ** (k + 1))
+            base = max(1.0, float(s[0]))
+        try:
+            floor = policy.atol * base ** (k + 1)
+        except OverflowError:
+            floor = math.inf
+        if not math.isfinite(floor):
+            raise IllConditioned(f"the magnitude of A^{k + 1} overflows")
+        r = _spectral_rank(s, policy.rank_rtol, floor)
         if r == rank_k:
             return k, ak, rank_k
         ak, rank_k = nxt, r
@@ -212,17 +219,6 @@ def block_view(x: np.ndarray, dd: DrazinData) -> BlockView:
     t = dd.s_inv @ x @ dd.s
     r = dd.dim_h1
     return BlockView(x11=t[:r, :r], x12=t[:r, r:], x21=t[r:, :r], x22=t[r:, r:])
-
-
-def assemble_blocks(bv: BlockView, dd: DrazinData) -> np.ndarray:
-    """Inverse of :func:`block_view`."""
-    n, r = dd.n, dd.dim_h1
-    t = np.zeros((n, n), dtype=np.complex128)
-    t[:r, :r] = bv.x11
-    t[:r, r:] = bv.x12
-    t[r:, :r] = bv.x21
-    t[r:, r:] = bv.x22
-    return dd.s @ t @ dd.s_inv
 
 
 class PairSelector(str, Enum):

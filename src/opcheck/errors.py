@@ -28,7 +28,8 @@ class Singular(OpcheckError):
 
 
 class IllConditioned(OpcheckError):
-    """A similarity or decomposition is too badly conditioned to trust;
+    """A similarity or decomposition is too badly conditioned to trust, or
+    a defect scale, transform or matrix power of finite operands overflows;
     results derived from it would be numerically meaningless."""
 
 

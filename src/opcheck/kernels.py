@@ -59,7 +59,7 @@ from .matcore import (
     matrix_to_json,
     unvectorize,
 )
-from .transforms import TransformKind, defect, defect_growth, transform
+from .transforms import TransformKind, defect, defect_growth, defect_threshold, transform
 
 __all__ = [
     "KernelBasis",
@@ -267,14 +267,11 @@ def kernel(
     forms = _value_forms(kind, tms, m) if np.array_equal(b, adjoint(a)) else tms
     # A map whose norm sits below the defect zero threshold annihilates
     # every weight up to rounding; the relative cutoff alone cannot see
-    # that, so it gets an absolute floor at the package-wide zero scale.
-    try:
-        zero_floor = policy.zero_threshold(defect_growth(b, a) ** m)
-    except OverflowError:
-        zero_floor = math.inf
+    # that, so it gets an absolute floor: the threshold of a unit weight.
+    zero_floor = defect_threshold(policy, defect_growth(b, a), m, 1.0)
     # every matrix an SVD may take, once: the block maps and the real forms
     svd_inputs = {id(x): x for x in (*tms, *forms) if x is not None}.values()
-    if not (math.isfinite(zero_floor) and all(np.isfinite(x).all() for x in svd_inputs)):
+    if not all(np.isfinite(x).all() for x in svd_inputs):
         raise IllConditioned(f"the order-{m} transform of these operators overflows")
     svals = []
     for x in forms:
@@ -363,9 +360,9 @@ def minimal_order(
     passing: list[bool] = []
     d = x
     for k in range(1, bound + 1):
+        thresholds.append(defect_threshold(policy, growth, k, x_norm))
         d = transform(kind, b, a, d, 1)
         residuals.append(frob(d))
-        thresholds.append(policy.zero_threshold(growth**k * x_norm))
         passing.append(residuals[-1] <= thresholds[-1])
     first = next((i for i, ok in enumerate(passing) if ok), None)
     if first is not None:

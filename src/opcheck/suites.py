@@ -14,15 +14,14 @@ instances.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .drazin import (
-    BlockView,
     PairSelector,
-    assemble_blocks,
     axiom_threshold,
     block_view,
     core_nilpotent_decompose,
@@ -67,7 +66,7 @@ from .matcore import (
 from .transforms import (
     TransformKind,
     defect,
-    defect_scale,
+    defect_growth,
     defect_threshold,
     delta,
     transform,
@@ -101,19 +100,7 @@ class SuiteConfig:
             raise InvalidOrder("order_max must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "dim_max": self.dim_max,
-            "order_max": self.order_max,
-            "seed": self.seed,
-            "policy": {
-                "atol": self.policy.atol,
-                "rtol": self.policy.rtol,
-                "rank_rtol": self.policy.rank_rtol,
-                "cond_max": self.policy.cond_max,
-            },
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -536,7 +523,7 @@ def _trial_no_left_m_inv(cfg, rng, extras, trial):
             (
                 "nil_block_identity",
                 frob(bv.x22 - sign * eye(dd.dim_h2)),
-                policy.zero_threshold(dd.cond_s * defect_scale(b, a, ident, m)),
+                defect_threshold(policy, defect_growth(b, a), m, dd.cond_s * frob(ident)),
                 detail,
             )
         )
@@ -565,7 +552,7 @@ def _trial_thm1(cfg, rng, extras, trial):
         cmat = _PARTNER[sel].partner(a, dd.a_d)
         detail = {"selector": sel.value, "m": m, "p": p, "kernel_dim": basis.dim}
         # basis elements are unit Frobenius norm, so one threshold covers all
-        delta_thr = defect_threshold(policy, cmat, a, basis.basis[0], m)
+        delta_thr = defect_threshold(policy, defect_growth(cmat, a), m, frob(basis.basis[0]))
         worst_block = 0.0
         worst_delta = 0.0
         for x in basis.basis:
@@ -698,15 +685,8 @@ def _trial_thm4(cfg, rng, extras, trial):
             detail,
         )
     )
-    formula = assemble_blocks(
-        BlockView(
-            inverse(t.x11, policy),
-            np.zeros((dd.dim_h1, dd.dim_h2)),
-            np.zeros((dd.dim_h2, dd.dim_h1)),
-            drazin_inverse(t.x22, policy),
-        ),
-        dd,
-    )
+    core_inv, nil_d = inverse(t.x11, policy), drazin_inverse(t.x22, policy)
+    formula = dd.s @ block_diag(core_inv, nil_d) @ dd.s_inv
     scale = dd.cond_s ** 2 * (1.0 + frob(apb_d) + frob(formula))
     checks.append(("drazin_block_formula", frob(apb_d - formula), policy.zero_threshold(scale), detail))
     return checks

@@ -19,18 +19,22 @@ against.
 Every identity the package checks says some defect vanishes.
 ``defect(kind, B, A, X, m, policy)`` is the one place that decision is
 made: it returns the defect's Frobenius norm together with its zero
-threshold ``defect_threshold``, computed from the same operands, and the
-defect vanishes when the first is at most the second.
+threshold, and the defect vanishes when the first is at most the second.
+``defect_threshold(policy, growth, m, x_norm)`` is the one order-m zero
+threshold: ``defect``, the minimal-order scan, the kernel's zero floor and
+the suites' own defect scales all take it from there, with ``growth`` the
+pair's ``defect_growth``.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOrder
-from .matcore import frob, spectral_norm
+from .errors import DimensionMismatch, IllConditioned, InvalidOrder
+from .matcore import as_matrix, frob, spectral_norm
 
 __all__ = [
     "TransformKind",
@@ -39,7 +43,6 @@ __all__ = [
     "transform",
     "defect",
     "defect_growth",
-    "defect_scale",
     "defect_threshold",
 ]
 
@@ -92,24 +95,35 @@ def defect_growth(b: np.ndarray, a: np.ndarray) -> float:
     return 1.0 + spectral_norm(a) * spectral_norm(b)
 
 
-def defect_scale(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> float:
-    """Worst-case growth of an order-m defect: (1 + ||A|| ||B||)^m ||X||_F.
+def defect_threshold(policy, growth: float, m: int, x_norm: float) -> float:
+    """Zero threshold of an order-m defect: ``policy.zero_threshold(growth**m
+    * x_norm)``, for a pair whose ``defect_growth`` is ``growth`` and a
+    weight of Frobenius norm ``x_norm``.
 
-    Used as the scale in every zero test of a transform residual.
+    A scale that overflows or is not finite raises IllConditioned: no
+    residual could be told apart from zero at it.
     """
-    return defect_growth(b, a) ** m * frob(x)
-
-
-def defect_threshold(policy, b, a, x, m: int) -> float:
-    """Zero threshold for an order-m defect under the policy."""
-    return policy.zero_threshold(defect_scale(b, a, x, m))
+    try:
+        scale = growth**m * x_norm
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise IllConditioned(f"the order-{m} defect scale of these operators overflows")
+    return policy.zero_threshold(scale)
 
 
 def defect(kind: TransformKind, b, a, x, m: int, policy) -> tuple[float, float]:
     """(residual, threshold) of the order-m defect of (B, A) on X.
 
     The residual is ``frob(transform(kind, B, A, X, m))``, the threshold
-    ``defect_threshold(policy, B, A, X, m)``; the defect vanishes when
-    residual <= threshold.
+    ``defect_threshold(policy, defect_growth(B, A), m, frob(X))``; the
+    defect vanishes when residual <= threshold. A non-finite operand raises
+    ParseError, and a residual that overflows from finite operands raises
+    IllConditioned.
     """
-    return frob(transform(kind, b, a, x, m)), defect_threshold(policy, b, a, x, m)
+    res = frob(transform(kind, b, a, x, m))
+    if not math.isfinite(res):
+        for t in (b, a, x):
+            as_matrix(t)  # raises ParseError on a non-finite entry
+        raise IllConditioned(f"the order-{m} defect of these operators overflows")
+    return res, defect_threshold(policy, defect_growth(b, a), m, frob(x))

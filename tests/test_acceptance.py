@@ -61,7 +61,7 @@ def test_criterion_02_transform_equivalence():
         b, a, x = (_cgauss(rng, n) for _ in range(3))
         for kind in tf.TransformKind:
             gap = mc.frob(tf.transform(kind, b, a, x, m) - binomial_transform(kind, b, a, x, m))
-            worst = max(worst, gap / (1e-8 * tf.defect_scale(b, a, x, m)))
+            worst = max(worst, gap / (1e-8 * (tf.defect_growth(b, a) ** m * mc.frob(x))))
     _announce(
         2,
         f"iterated and binomial forms agree on {TRIALS} random instances "
@@ -78,7 +78,8 @@ def test_criterion_03_self_pair_identity_weight():
         m = int(rng.integers(1, 5))
         a = _cgauss(rng, n)
         res = mc.frob(tf.delta(a, a, mc.eye(n), m))
-        worst = max(worst, res / tf.defect_threshold(mc.DEFAULT_POLICY, a, a, mc.eye(n), m))
+        thr = tf.defect_threshold(mc.DEFAULT_POLICY, tf.defect_growth(a, a), m, mc.frob(mc.eye(n)))
+        worst = max(worst, res / thr)
     _announce(
         3,
         f"order-m self-pair defect of the identity vanishes on {TRIALS} random "

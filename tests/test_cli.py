@@ -373,6 +373,27 @@ def test_overflowing_kernel_is_numerical_failure(kind, tmp_path):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "entries, argv",
+    [
+        ([[1e100, 1e100], [0, 1e100]], ["classify", "--transform", "delta", "--pair", "adjoint"]),
+        ([[1e200, 1e200], [0, 1e200]], ["classify", "--transform", "delta", "--pair", "adjoint"]),
+        ([[1e200, 1e200], [0, 0]], ["drazin"]),
+        ([[1e200, 1e200], [0, 0]], ["kernel", "--transform", "triangle", "--pair", "adjoint",
+                                    "--order", "2"]),
+    ],
+    ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular"],
+)
+def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
+    # finite entries whose defect scale or power of A overflows
+    path = tmp_path / "huge.json"
+    mc.save_matrix(path, np.array(entries, dtype=complex))
+    proc = _run_opcheck([argv[0], str(path), *argv[1:]])
+    assert proc.returncode == 2, proc.stderr
+    assert "opcheck: numerical failure:" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     out = str(tmp_path / "basis.json")

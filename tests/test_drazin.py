@@ -170,14 +170,6 @@ class TestBlockView:
         for blk in (bv.x12, bv.x21, bv.x22):
             assert mc.frob(blk) <= 1e-12
 
-    def test_assemble_roundtrip(self):
-        rng = rng_for(6, 8)
-        inst = make_drazin_block(2, 2, 2, rng, P, conjugate=True, spectrum="generic")
-        dd = dz.core_nilpotent_decompose(inst.matrices["A"], P)
-        x = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        bv = dz.block_view(x, dd)
-        np.testing.assert_allclose(dz.assemble_blocks(bv, dd), x, atol=1e-10)
-
     def test_constructed_core_weight(self):
         dd = dz.core_nilpotent_decompose(FIXTURE, P)
         m = np.array([[3.5 + 1j]])

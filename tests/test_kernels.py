@@ -61,7 +61,8 @@ class TestTransformMatrix:
                     x = _cgauss(rng, n)
                     lhs = tm @ x.reshape(-1, order="F")
                     rhs = tf.transform(kind, b, a, x, m).reshape(-1, order="F")
-                    assert np.abs(lhs - rhs).max() <= P.rtol * tf.defect_scale(b, a, x, m)
+                    scale = tf.defect_growth(b, a) ** m * mc.frob(x)
+                    assert np.abs(lhs - rhs).max() <= P.rtol * scale
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionMismatch):
@@ -131,7 +132,7 @@ class TestKernel:
         for m in (1, 2):
             basis = kn.kernel(TK.TRIANGLE, b, a, m, P)
             assert 0 < basis.dim < 9
-            thr = tf.defect_threshold(P, b, a, mc.eye(3), m)
+            thr = tf.defect_threshold(P, tf.defect_growth(b, a), m, mc.frob(mc.eye(3)))
             for x in basis.basis:
                 assert mc.frob(tf.triangle(b, a, x, m)) <= thr
             for _ in range(10):
@@ -150,7 +151,8 @@ class TestKernel:
         x2 = basis.sample(rng_for(7, 1))
         np.testing.assert_array_equal(x1, x2)
         assert abs(mc.frob(x1) - 1.0) <= 1e-12
-        assert mc.frob(tf.delta(a, a, x1, 2)) <= tf.defect_threshold(P, a, a, x1, 2)
+        thr = tf.defect_threshold(P, tf.defect_growth(a, a), 2, mc.frob(x1))
+        assert mc.frob(tf.delta(a, a, x1, 2)) <= thr
 
     def test_sample_empty_kernel_rejected(self):
         a = np.diag([2.0, 0.0]).astype(complex)
@@ -453,3 +455,70 @@ class TestMinimalOrder:
         res = kn.minimal_order(TK.DELTA, mc.adjoint(JORDAN2), JORDAN2, mc.eye(2), 4, P)
         doc = res.to_json()
         assert doc["minimal_order"] == 3 and len(doc["residuals"]) == 4
+
+
+class TestOneThreshold:
+    """Every order-m zero threshold is ``defect_threshold`` of the pair's growth."""
+
+    def test_defect_scan_and_kernel_floor_take_defect_threshold(self):
+        rng = rng_for(9, 105)
+        for kind in TK:
+            b, a, x = (_cgauss(rng, 3) for _ in range(3))
+            growth = tf.defect_growth(b, a)
+            scan = kn.minimal_order(kind, b, a, x, 4, P)
+            for k in range(1, 5):
+                want = tf.defect_threshold(P, growth, k, mc.frob(x))
+                assert tf.defect(kind, b, a, x, k, P)[1] == want
+                assert scan.thresholds[k - 1] == want
+        # maps that annihilate every weight exactly: the cutoff is the floor
+        i3 = mc.eye(3)
+        for kind, b, a in ((TK.DELTA, 1.5 * i3, 1.5 * i3), (TK.TRIANGLE, 2 * i3, 0.5 * i3)):
+            for m in (1, 3):
+                basis = kn.kernel(kind, b, a, m, P)
+                assert basis.dim == 9 and not basis.singular_values.any()
+                assert basis.cutoff == tf.defect_threshold(P, tf.defect_growth(b, a), m, 1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e100, 1e200])
+    def test_overflowing_scale_is_ill_conditioned(self, c):
+        # finite operands whose order-2 scale (1 + ||A||^2)^2 overflows
+        a = np.array([[c, c], [0, c]], dtype=complex)
+        b, x = mc.adjoint(a), mc.eye(2)
+        for kind in TK:
+            for call in (
+                lambda: tf.defect(kind, b, a, x, 2, P),
+                lambda: kn.is_member(kind, b, a, x, 2, P),
+                lambda: kn.minimal_order(kind, b, a, x, 6, P),
+                lambda: kn.kernel(kind, b, a, 2, P),
+            ):
+                with pytest.raises(IllConditioned):
+                    call()
+        if c == 1e200:
+            # A is not selfadjoint; an order-1 residual and scale of inf passed
+            with pytest.raises(IllConditioned):
+                kn.is_member(TK.DELTA, b, a, x, 1, P)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_of_finite_operands_is_ill_conditioned(self):
+        d = np.diag([1e200, 1.0]).astype(complex)  # B X and X A are both inf
+        with pytest.raises(IllConditioned):
+            tf.defect(TK.DELTA, d, d, d, 1, P)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a",
+        [np.array([[1e200, 1e200], [0, 0]], dtype=complex), 1e100 * np.eye(4, k=1, dtype=complex)],
+        ids=["singular-1e200", "jordan4-1e100"],
+    )
+    def test_index_of_overflowing_power_is_ill_conditioned(self, a):
+        with pytest.raises(IllConditioned):
+            dz.index_of(a, P)
+
+    @pytest.mark.parametrize("operand", ["B", "A", "X"])
+    def test_non_finite_operand_of_defect_is_parse_error(self, operand):
+        ops = {"B": mc.adjoint(JORDAN2), "A": JORDAN2, "X": mc.eye(2), operand: NAN}
+        for kind in TK:
+            with pytest.raises(ParseError):
+                tf.defect(kind, ops["B"], ops["A"], ops["X"], 2, P)
+            with pytest.raises(ParseError):
+                kn.is_member(kind, ops["B"], ops["A"], ops["X"], 2, P)

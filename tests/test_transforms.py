@@ -46,7 +46,7 @@ def test_delta_self_pair_identity_weight():
     for m in (1, 2, 3, 4):
         a = _cgauss(rng, 4)
         d = tf.delta(a, a, mc.eye(4), m)
-        assert mc.frob(d) <= tf.defect_threshold(P, a, a, mc.eye(4), m)
+        assert mc.frob(d) <= tf.defect_threshold(P, tf.defect_growth(a, a), m, mc.frob(mc.eye(4)))
 
 
 def test_delta_e12_order2():
@@ -75,7 +75,7 @@ def test_binomial_matches_iterated_on_random_instances():
         for kind in tf.TransformKind:
             stepped = tf.transform(kind, b, a, x, m)
             direct = binomial_transform(kind, b, a, x, m)
-            tol = P.rtol * tf.defect_scale(b, a, x, m)
+            tol = P.rtol * (tf.defect_growth(b, a) ** m * mc.frob(x))
             assert mc.frob(direct - stepped) <= max(tol, 1e-12)
 
 
@@ -98,7 +98,7 @@ def test_composition_across_orders():
             inner = tf.transform(kind, b, a, x, m)
             lhs = tf.transform(kind, b, a, inner, n - m)
             rhs = tf.transform(kind, b, a, x, n)
-            assert mc.frob(lhs - rhs) <= P.rtol * tf.defect_scale(b, a, x, n)
+            assert mc.frob(lhs - rhs) <= P.rtol * (tf.defect_growth(b, a) ** n * mc.frob(x))
 
 
 def test_isometry_defect_unitary():
@@ -142,7 +142,7 @@ def test_defect_is_residual_and_threshold_of_one_operand_set():
             b, a, x = (_cgauss(rng, 3) for _ in range(3))
             res, thr = tf.defect(kind, b, a, x, m, P)
             assert res == mc.frob(tf.transform(kind, b, a, x, m))
-            assert thr == tf.defect_threshold(P, b, a, x, m)
+            assert thr == tf.defect_threshold(P, tf.defect_growth(b, a), m, mc.frob(x))
 
 
 def test_is_member_agrees_with_defect():
