@@ -120,9 +120,8 @@ def cmd_drazin(args, policy: NumericPolicy) -> int:
     # warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         dd = core_nilpotent_decompose(a, policy)
-    doc = dd.to_json(a)
     if args.json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(dd.to_json(a), indent=2))
     else:
         r1, r2, r3 = dd.residuals_for(a)
         print(f"size:            {dd.n}")

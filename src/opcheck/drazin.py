@@ -48,6 +48,16 @@ __all__ = [
 ]
 
 
+def _log_space_floor(atol: float, base: float, k: int) -> float:
+    """atol * base**k for a base**k that overflows (base >= 1); inf if the product does."""
+    if not atol:
+        return 0.0
+    try:
+        return math.exp(math.log(atol) + k * math.log(base))
+    except OverflowError:
+        return math.inf
+
+
 def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray, int]:
     """Index p of a square A, together with A^p and its rank.
 
@@ -55,26 +65,30 @@ def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray,
     from its rounding dirt (whose largest singular value is ~eps), so the
     singular values of A^k are also floored at atol times the natural
     magnitude ||A||^k of the power; ||A||_2 is the largest singular value
-    of A^1, the first power searched. A magnitude that overflows raises
-    IllConditioned.
+    of A^1, the first power searched. A power whose entries overflow raises
+    IllConditioned. When ||A||^k alone overflows, the floor is formed in log
+    space, since atol can bring it back into range; only a floor that itself
+    overflows lies above every finite singular value, giving that power rank 0.
     """
     n = a.shape[0]
     ak, rank_k, base = np.eye(n, dtype=np.complex128), n, 1.0
-    for k in range(n):
-        nxt = ak @ a
-        s = np.linalg.svd(nxt, compute_uv=False)
-        if k == 0:
-            base = max(1.0, float(s[0]))
-        try:
-            floor = policy.atol * base ** (k + 1)
-        except OverflowError:
-            floor = math.inf
-        if not math.isfinite(floor):
-            raise IllConditioned(f"the magnitude of A^{k + 1} overflows")
-        r = _spectral_rank(s, policy.rank_rtol, floor)
-        if r == rank_k:
-            return k, ak, rank_k
-        ak, rank_k = nxt, r
+    # an overflowing power raises below; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            nxt = ak @ a
+            if not np.isfinite(nxt).all():
+                raise IllConditioned(f"the entries of A^{k + 1} overflow")
+            s = np.linalg.svd(nxt, compute_uv=False)
+            if k == 0:
+                base = max(1.0, float(s[0]))
+            try:
+                floor = policy.atol * base ** (k + 1)
+            except OverflowError:
+                floor = _log_space_floor(policy.atol, base, k + 1)
+            r = _spectral_rank(s, policy.rank_rtol, floor)
+            if r == rank_k:
+                return k, ak, rank_k
+            ak, rank_k = nxt, r
     return n, ak, rank_k  # ranks strictly decrease at most n times
 
 

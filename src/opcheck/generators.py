@@ -3,10 +3,13 @@
 Every builder self-certifies: it evaluates the properties the instance is
 supposed to have (nilpotency orders, vanishing defects, exact commutation,
 Drazin indices) and raises :class:`~opcheck.errors.GenerationFailed` if
-certification cannot be achieved within a small retry budget. Instances
-are bit-reproducible functions of their seed; independent streams are
-derived by keying a counter-based Philox generator, so parallel and serial
-sweeps see identical draws.
+certification cannot be achieved within a small retry budget. A builder
+that certifies an operator's index does so with the operator's full
+core-nilpotent decomposition and hands it over in
+``GeneratedInstance.drazin``, so no consumer decomposes that matrix again.
+Instances are bit-reproducible functions of their seed; independent streams
+are derived by keying a counter-based Philox generator, so parallel and
+serial sweeps see identical draws.
 
 Commutation-constrained families (the product/sum and AB = 0 instance
 sets) are built constructively on block layouts where the constraints hold
@@ -22,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .drazin import PairSelector, core_nilpotent_decompose, index_of, resolve_pair
+from .drazin import PairSelector, core_nilpotent_decompose, resolve_pair
 from .errors import GenerationFailed, InvalidOrder
 from .kernels import kernel
 from .matcore import (
@@ -335,7 +338,8 @@ def make_drazin_block(
     """A = U (A1 (+) A2) U* with A1 invertible and A2 exactly p-nilpotent.
 
     ``p = 0`` requires ``n2 = 0`` (invertible A); otherwise 1 <= p <= n2.
-    The constructed index is certified against :func:`~opcheck.drazin.index_of`.
+    The constructed index is certified against A's core-nilpotent
+    decomposition, which the instance carries as ``drazin["A"]``.
     """
     if n2 == 0:
         if p != 0:
@@ -351,8 +355,9 @@ def make_drazin_block(
         a0 = block_diag(a1, a2)
         u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
         a = u @ a0 @ adjoint(u)
+        dd = core_nilpotent_decompose(a, policy)
         checks = [
-            ("index", abs(index_of(a, policy) - p), 0.5),
+            ("index", abs(dd.p - p), 0.5),
             ("core_condition", condition(a1) if n1 else 1.0, 100.0),
         ]
         if n2:
@@ -366,6 +371,7 @@ def make_drazin_block(
             matrices={"A": a, "A1": a1, "A2": a2, "U": u},
             certified=certified,
             meta={"n1": n1, "n2": n2, "p": p, "spectrum": spectrum, "conjugate": conjugate},
+            drazin={"A": dd},
         )
 
     return _with_retries(build)
@@ -415,13 +421,15 @@ def make_ab_zero_pair(
         u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
         a_full, b_full = u @ a @ adjoint(u), u @ b @ adjoint(u)
         expected_b_index = qb if h2b else 1
+        dd_a = core_nilpotent_decompose(a_full, policy)
+        dd_b = core_nilpotent_decompose(b_full, policy)
         certified = _certify(
             [
                 ("ab_product", frob(a_full @ b_full), policy.atol),
                 ("ba_product", frob(b_full @ a_full), policy.atol),
                 ("commutator", frob(a_full @ b_full - b_full @ a_full), policy.atol),
-                ("index_A", abs(index_of(a_full, policy) - qa), 0.5),
-                ("index_B", abs(index_of(b_full, policy) - expected_b_index), 0.5),
+                ("index_A", abs(dd_a.p - qa), 0.5),
+                ("index_B", abs(dd_b.p - expected_b_index), 0.5),
             ]
         )
         return GeneratedInstance(
@@ -443,6 +451,7 @@ def make_ab_zero_pair(
                 "layout": (n1, h2a, h2b, h2c),
                 "invertible_tail": invertible_tail,
             },
+            drazin={"A": dd_a, "B": dd_b},
         )
 
     return _with_retries(build)
@@ -512,8 +521,9 @@ def make_remark3_counterexample(
         nil[0, 1] = alpha
         a = block_diag(a1, nil)
         x = block_diag(x11, eye(2))
+        dd = core_nilpotent_decompose(a, policy)
         pos = frob(delta(adjoint(a), a, x, 3))
-        neg = frob(triangle(resolve_pair(a, PairSelector.DRAZIN_ADJOINT, policy), a, x, 3))
+        neg = frob(triangle(adjoint(dd.a_d), a, x, 3))
         certified = _certify(
             [
                 ("delta3_defect", pos, 1e-9),
@@ -525,6 +535,7 @@ def make_remark3_counterexample(
             matrices={"A": a, "X": x, "A1": a1, "X11": x11, "N": nil},
             certified=certified,
             meta={"n1": n1, "delta3": pos, "triangle3": neg},
+            drazin={"A": dd},
         )
 
     return _with_retries(build)
@@ -562,13 +573,14 @@ def make_commuting_core_weight(
         u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
         a = u @ block_diag(a1, a2) @ adjoint(u)
         x = u @ block_diag(x11, zeros(n2, n2)) @ adjoint(u)
-        b = resolve_pair(a, PairSelector.DRAZIN_ADJOINT, policy)
+        dd = core_nilpotent_decompose(a, policy)
+        b = adjoint(dd.a_d)
         certified = _certify(
             [
                 ("triangle_defect", *defect(TransformKind.TRIANGLE, b, a, x, m, policy)),
                 ("commutator_AX", frob(a @ x - x @ a), policy.zero_threshold(frob(a) * frob(x))),
                 ("weight_core_condition", condition(x11), 1e4),
-                ("index", abs(index_of(a, policy) - p), 0.5),
+                ("index", abs(dd.p - p), 0.5),
             ]
         )
         return GeneratedInstance(
@@ -576,6 +588,7 @@ def make_commuting_core_weight(
             matrices={"A": a, "X": x, "A1": a1, "X11": x11, "A2": a2, "U": u},
             certified=certified,
             meta={"n1": n1, "n2": n2, "p": p, "m": m},
+            drazin={"A": dd},
         )
 
     return _with_retries(build)
@@ -941,6 +954,8 @@ def _need(spec: InstanceSpec, dims: int, orders: int) -> None:
 
 def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> GeneratedInstance:
     """Build the instance described by ``spec`` (deterministic per seed)."""
+    if any(d < 0 for d in spec.dims):
+        raise InvalidOrder(f"dims must be nonnegative, got {list(spec.dims)}")
     fam = Family(spec.family)
     rng = rng_for(spec.seed, _FAMILY_LANE[fam])
 
@@ -961,13 +976,14 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
 
         def build_nilpotent():
             nil = random_nilpotent(n, q, rng)
+            dd = core_nilpotent_decompose(nil, policy)
             certified = _certify(
                 [
                     ("nil_order", frob(power(nil, q)), policy.zero_threshold(1.0)),
-                    ("index", abs(index_of(nil, policy) - (q if n else 0)), 0.5),
+                    ("index", abs(dd.p - (q if n else 0)), 0.5),
                 ]
             )
-            return GeneratedInstance(fam, {"A": nil}, certified, {"n": n, "q": q})
+            return GeneratedInstance(fam, {"A": nil}, certified, {"n": n, "q": q}, {"A": dd})
 
         return _with_retries(build_nilpotent)
 

@@ -151,8 +151,17 @@ def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m)) if np.asarray(m).size else 0.0
+    """Frobenius norm; a finite input whose squared entries overflow is
+    rescaled by its largest entry modulus, so its norm stays finite where
+    the norm itself is representable."""
+    m = np.asarray(m)
+    if not m.size:
+        return 0.0
+    norm = float(np.linalg.norm(m))
+    if math.isfinite(norm) or not np.isfinite(m).all():
+        return norm
+    big = float(np.max(np.abs(m)))
+    return big * float(np.linalg.norm(m / big))
 
 
 def one_norm(m: np.ndarray) -> float:

@@ -196,6 +196,9 @@ def _draw_drazin_dims(rng, cfg, *, min_nil=0, min_core=0, min_p=0):
 def _trial_drazin_axioms(cfg, rng, extras, trial):
     policy = cfg.policy
     kind = trial % 9
+    # a builder that certified the matrix's index hands over its
+    # decomposition; only A+B and kinds 3-6 are decomposed here
+    dd = None
     if kind == 7:
         inst = make_ab_zero_pair(
             _dim(rng, 1, 2), _dim(rng, 2, max(2, cfg.dim_max - 2)), rng, policy,
@@ -203,25 +206,23 @@ def _trial_drazin_axioms(cfg, rng, extras, trial):
         )
         pick = (trial // 9) % 3
         if pick == 0:
-            a, expected = inst.matrices["A"], inst.meta["qa"]
+            a, dd, expected = inst.matrices["A"], inst.drazin["A"], inst.meta["qa"]
         elif pick == 1:
             h2b = inst.meta["layout"][2]
-            a, expected = inst.matrices["B"], (inst.meta["qb"] if h2b else 1)
+            a, dd = inst.matrices["B"], inst.drazin["B"]
+            expected = inst.meta["qb"] if h2b else 1
         else:
             a = inst.matrices["A"] + inst.matrices["B"]
             expected = max(inst.meta["qa"], inst.meta["qb"])
     elif kind == 8:
         inst = make_remark3_counterexample(rng, policy)
-        a, expected = inst.matrices["A"], 2
-    elif kind == 0:
-        inst = make_drazin_block(*_draw_drazin_dims(rng, cfg, min_nil=1, min_p=1), rng, policy, conjugate=True, spectrum="generic")
-        a, expected = inst.matrices["A"], inst.meta["p"]
-    elif kind == 1:
-        inst = make_drazin_block(*_draw_drazin_dims(rng, cfg, min_nil=1, min_p=1), rng, policy, conjugate=bool(trial & 8), spectrum="real")
-        a, expected = inst.matrices["A"], inst.meta["p"]
-    elif kind == 2:
-        inst = make_drazin_block(*_draw_drazin_dims(rng, cfg, min_core=1, min_nil=1, min_p=1), rng, policy, conjugate=True, spectrum="selfadjoint")
-        a, expected = inst.matrices["A"], inst.meta["p"]
+        a, dd, expected = inst.matrices["A"], inst.drazin["A"], 2
+    elif kind in (0, 1, 2):
+        dims = _draw_drazin_dims(rng, cfg, min_core=int(kind == 2), min_nil=1, min_p=1)
+        conjugate = bool(trial & 8) if kind == 1 else True
+        spectrum = ("generic", "real", "selfadjoint")[kind]
+        inst = make_drazin_block(*dims, rng, policy, conjugate=conjugate, spectrum=spectrum)
+        a, dd, expected = inst.matrices["A"], inst.drazin["A"], inst.meta["p"]
     elif kind == 3:
         n = _dim(rng, 2, cfg.dim_max)
         q = _dim(rng, 1, min(n, cfg.order_max))
@@ -241,7 +242,8 @@ def _trial_drazin_axioms(cfg, rng, extras, trial):
         inst = make_scalar_plus_nilpotent(n, q, s, rng, policy)
         a, expected = inst.matrices["A"], 0  # s != 0 keeps A invertible
 
-    dd = core_nilpotent_decompose(a, policy)
+    if dd is None:
+        dd = core_nilpotent_decompose(a, policy)
     r1, r2, r3 = dd.residuals_for(a)
     thr = axiom_threshold(a, dd.p, policy)
     recon = dd.s @ block_diag(dd.a1, dd.a2) @ dd.s_inv
@@ -265,7 +267,7 @@ def _trial_prop1(cfg, rng, extras, trial):
         n1, n2, p = _draw_drazin_dims(rng, cfg, min_core=2, min_nil=1, min_p=1)
         inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 16), spectrum="reciprocal")
         a = inst.matrices["A"]
-        b = resolve_pair(a, sel, policy)
+        b = sel.partner(a, inst.drazin["A"].a_d)
         m = _dim(rng, 1, cfg.order_max)
         basis = kernel(tkind, b, a, m, policy)
         if basis.dim == 0:
@@ -479,7 +481,7 @@ def _trial_remark2(cfg, rng, extras, trial):
         spectrum = "unitary" if family == 2 else "signs"
     inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=True, spectrum=spectrum)
     a = inst.matrices["A"]
-    a_d = drazin_inverse(a, policy)
+    a_d = inst.drazin["A"].a_d
     hyp, hyp_thr = defect(TransformKind.DELTA, adjoint(a_d), a, eye(a.shape[0]), 2, policy)
     if hyp > hyp_thr:
         raise _Skip(f"order-2 identity not satisfied (residual {hyp:.2e})")
@@ -508,8 +510,7 @@ def _trial_no_left_m_inv(cfg, rng, extras, trial):
     spectrum = ("generic", "real", "unitary")[trial % 3]
     n1, n2, p = _draw_drazin_dims(rng, cfg, min_nil=1, min_p=1)
     inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 2), spectrum=spectrum)
-    a = inst.matrices["A"]
-    dd = core_nilpotent_decompose(a, policy)
+    a, dd = inst.matrices["A"], inst.drazin["A"]
     m = _dim(rng, 1, cfg.order_max)
     ident = eye(a.shape[0])
     checks = []
@@ -538,8 +539,7 @@ def _trial_thm1(cfg, rng, extras, trial):
     p = _dim(rng, 2, min(n2, max(2, cfg.order_max)))
     n1 = _dim(rng, 1, max(1, cfg.dim_max - n2))
     inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 2), spectrum="reciprocal")
-    a = inst.matrices["A"]
-    dd = core_nilpotent_decompose(a, policy)
+    a, dd = inst.matrices["A"], inst.drazin["A"]
     m = _dim(rng, 1, cfg.order_max)
     checks = []
     nonempty = 0
@@ -572,8 +572,7 @@ def _trial_remark3(cfg, rng, extras, trial):
         spectrum = "real" if trial & 2 else "reciprocal"
         n1, n2, p = _draw_drazin_dims(rng, cfg, min_core=1, min_nil=1, min_p=1)
         inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 4), spectrum=spectrum)
-        a = inst.matrices["A"]
-        dd = core_nilpotent_decompose(a, policy)
+        a, dd = inst.matrices["A"], inst.drazin["A"]
         m = _dim(rng, 1, cfg.order_max)
         basis = kernel(TransformKind.DELTA, a, a, m, policy)
         if basis.dim == 0:

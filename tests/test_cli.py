@@ -1,20 +1,28 @@
 """End-to-end tests of the command-line surface and its exit-code contract:
 0 success/pass, 1 usage/parse error, 2 numerical failure, 3 verdict fail."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opcheck.cli as cli
+from opcheck import drazin as dz
 from opcheck import matcore as mc
 from opcheck.cli import main
 from opcheck.drazin import index_of
 from opcheck.errors import IllConditioned
+from opcheck.generators import Family
 from opcheck.suites import SuiteReport, TrialFailure, available_suites
 
 
@@ -72,6 +80,14 @@ class TestDrazinCommand:
         assert main(["drazin", fixture_files["jordan"], "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["index"] == 0 and doc["dim_nil"] == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_axiom_residuals_are_computed_once(self, fixture_files, flags, monkeypatch):
+        calls = []
+        residuals = dz.axiom_residuals
+        monkeypatch.setattr(dz, "axiom_residuals", lambda *a: calls.append(1) or residuals(*a))
+        assert main(["drazin", fixture_files["drazin3"], *flags]) == 0
+        assert len(calls) == 1
 
 
 class TestClassifyCommand:
@@ -373,6 +389,9 @@ def test_overflowing_kernel_is_numerical_failure(kind, tmp_path):
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+_NAN_SQUARE = [[0, 0], [-1e200 - 1e200j, -1e300 - 1e300j]]
+
+
 @pytest.mark.parametrize(
     "entries, argv",
     [
@@ -381,8 +400,12 @@ def test_overflowing_kernel_is_numerical_failure(kind, tmp_path):
         ([[1e200, 1e200], [0, 0]], ["drazin"]),
         ([[1e200, 1e200], [0, 0]], ["kernel", "--transform", "triangle", "--pair", "adjoint",
                                     "--order", "2"]),
+        # A^2 has NaN entries, which once reached an SVD that did not converge
+        (_NAN_SQUARE, ["drazin"]),
+        (_NAN_SQUARE, ["classify", "--transform", "delta", "--pair", "drazin"]),
     ],
-    ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular"],
+    ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular",
+         "drazin-nan-square", "classify-nan-square"],
 )
 def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
     # finite entries whose defect scale or power of A overflows
@@ -426,3 +449,93 @@ def test_handlers_are_looked_up_when_called(fixture_files, monkeypatch):
     monkeypatch.setattr(cli, "cmd_drazin", lambda args, policy: seen.append(args.matrix) or 0)
     assert main(["drazin", fixture_files["jordan"]]) == 0
     assert seen == [fixture_files["jordan"]]
+
+
+@pytest.mark.parametrize(
+    "family, dims, orders",
+    [("unitary", "-1", ""), ("nilpotent", "-2", "1"), ("remark3", "-1", "")],
+)
+def test_example_with_negative_dims_is_usage_error(family, dims, orders, tmp_path):
+    out = tmp_path / "ex"
+    _assert_usage_error(_run_opcheck(["example", "--family", family, "--dims", dims,
+                                      "--orders", orders, "--out", str(out)]))
+    assert not out.exists()
+
+
+# entry moduli from the smallest to the largest normal exponents, both signs
+_ENTRY = st.sampled_from(
+    [0.0] + [s * 10.0**e for e in (-300, -100, -10, 0, 10, 100, 200, 300) for s in (1, -1)]
+)
+
+
+def _matrix_docs():
+    def doc(rows, cols, entries):
+        it = iter(entries)
+        data = [[[next(it), next(it)] for _ in range(cols)] for _ in range(rows)]
+        return {"rows": rows, "cols": cols, "data": data}
+
+    return st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda rc: st.builds(doc, st.just(rc[0]), st.just(rc[1]),
+                             st.lists(_ENTRY, min_size=2 * rc[0] * rc[1],
+                                      max_size=2 * rc[0] * rc[1]))
+    )
+
+
+def _exit_code_of(argv):
+    """``main(argv)`` with its output swallowed; an exception escaping it is
+    what a traceback from the ``opcheck`` script would show."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return rc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=_matrix_docs(),
+    command=st.sampled_from(["drazin", "classify", "kernel"]),
+    transform=st.sampled_from(["triangle", "delta"]),
+    pair=st.sampled_from(["self", "adjoint", "drazin", "drazin-adjoint"]),
+    order=st.integers(-1, 6),
+)
+def test_fuzzed_matrix_commands_end_with_a_documented_exit_code(
+    doc, command, transform, pair, order
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        if command == "drazin":
+            argv = ["drazin", path, *(["--json"] if order % 2 else [])]
+        else:
+            flag = "--max-order" if command == "classify" else "--order"
+            argv = [command, path, "--transform", transform, "--pair", pair, flag, str(order)]
+        assert _exit_code_of(argv) in (0, 1, 2, 3)
+
+
+# the dims and orders each family takes; most draws keep them, so that the
+# builders run, and the rest try any arity
+_ARITY = {
+    "unitary": (1, 0), "nilpotent": (1, 1), "invertible": (1, 0), "drazin-block": (2, 1),
+    "ab-zero": (2, 2), "hypothesis1": (4, 2), "remark3": (1, 0), "scalar-plus-nilpotent": (1, 1),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from([f.value for f in Family]), data=st.data(), seed=st.integers(0, 3)
+)
+def test_fuzzed_example_ends_with_a_documented_exit_code(family, data, seed):
+    ndims, norders = _ARITY[family]
+    if data.draw(st.integers(0, 3)) == 0:
+        ndims, norders = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 2))
+    dims = data.draw(st.lists(st.integers(-3, 6), min_size=ndims, max_size=ndims)
+                     .filter(lambda d: sum(map(abs, d)) <= 8))
+    orders = data.draw(st.lists(st.integers(-1, 6), min_size=norders, max_size=norders))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["example", "--family", family, "--dims", ",".join(map(str, dims)),
+                "--orders", ",".join(map(str, orders)), "--seed", str(seed), "--out", tmp]
+        assert _exit_code_of(argv) in (0, 1, 2, 3)

@@ -4,9 +4,10 @@ structural guarantees, self-certification, and the dispatch surface."""
 import numpy as np
 import pytest
 
+import opcheck.generators as gen
 from opcheck import matcore as mc
 from opcheck import transforms as tf
-from opcheck.drazin import drazin_inverse, index_of
+from opcheck.drazin import core_nilpotent_decompose, drazin_inverse, index_of
 from opcheck.errors import InvalidOrder
 from opcheck.generators import (
     Family,
@@ -254,6 +255,35 @@ class TestQuadruples:
             assert certs["commutator_A1A2"] <= 1e-10
 
 
+_HANDED_OVER = {
+    "drazin-block": (lambda: make_drazin_block(2, 3, 2, rng_for(6, 96), P, conjugate=True), "A"),
+    "commuting-core-weight": (
+        lambda: make_commuting_core_weight(rng_for(6, 97), P, n1=2, n2=3, p=2, m=2),
+        "A",
+    ),
+    "ab-zero-A": (
+        lambda: make_ab_zero_pair(2, 4, rng_for(6, 98), P, invertible_tail=True, conjugate=True),
+        "A",
+    ),
+    "ab-zero-B": (
+        lambda: make_ab_zero_pair(2, 4, rng_for(6, 98), P, invertible_tail=True, conjugate=True),
+        "B",
+    ),
+    "nilpotent": (lambda: generate(InstanceSpec(Family.NILPOTENT, (4,), (3,), 19), P), "A"),
+    "remark3": (lambda: make_remark3_counterexample(rng_for(6, 99), P), "A"),
+}
+
+
+@pytest.mark.parametrize("build, name", _HANDED_OVER.values(), ids=_HANDED_OVER.keys())
+def test_builder_hands_over_the_decomposition_it_certified_with(build, name):
+    inst = build()
+    got, fresh = inst.drazin[name], core_nilpotent_decompose(inst.matrices[name], P)
+    for f in ("p", "dim_h1", "dim_h2", "cond_s"):
+        assert getattr(got, f) == getattr(fresh, f), f
+    for f in ("a_d", "s", "s_inv", "a1", "a2"):
+        np.testing.assert_array_equal(getattr(got, f), getattr(fresh, f), err_msg=f)
+
+
 class TestGenerateDispatch:
     @pytest.mark.parametrize(
         "spec",
@@ -289,6 +319,23 @@ class TestGenerateDispatch:
         base = InstanceSpec(Family.DRAZIN_BLOCK, (2, 3), (2,), 1)
         other = InstanceSpec(Family.DRAZIN_BLOCK, (2, 3), (2,), 2)
         assert not np.array_equal(generate(base, P).matrices["A"], generate(other, P).matrices["A"])
+
+    @pytest.mark.parametrize(
+        "family, dims, orders",
+        [
+            (Family.UNITARY, (-1,), ()),
+            (Family.NILPOTENT, (-2,), (1,)),
+            (Family.REMARK3, (-1,), ()),
+            (Family.DRAZIN_BLOCK, (2, -1), (1,)),
+        ],
+    )
+    def test_negative_dim_rejected_before_any_draw(self, family, dims, orders, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("generate drew before checking its dims")
+
+        monkeypatch.setattr(gen, "rng_for", no_draws)
+        with pytest.raises(InvalidOrder):
+            generate(InstanceSpec(family, dims, orders, 0), P)
 
     def test_bad_arity_rejected(self):
         with pytest.raises(InvalidOrder):

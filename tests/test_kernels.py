@@ -507,12 +507,41 @@ class TestOneThreshold:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "a",
-        [np.array([[1e200, 1e200], [0, 0]], dtype=complex), 1e100 * np.eye(4, k=1, dtype=complex)],
-        ids=["singular-1e200", "jordan4-1e100"],
+        [
+            np.array([[1e200, 1e200], [0, 0]], dtype=complex),
+            np.array([[0, 0], [-1e200 - 1e200j, -1e300 - 1e300j]], dtype=complex),
+        ],
+        ids=["singular-1e200", "svd-of-overflow"],
     )
     def test_index_of_overflowing_power_is_ill_conditioned(self, a):
+        # A^2 has infinite or NaN entries; the search stops before its SVD
         with pytest.raises(IllConditioned):
             dz.index_of(a, P)
+
+    def test_index_of_overflowing_floor_is_rank_zero(self):
+        # the powers of 1e100 * J4 stay finite (A^4 = 0), but the floor
+        # atol * ||A||^4 overflows even in log space: it lies above every
+        # finite singular value of A^4, so that power has rank 0, index 4
+        a = 1e100 * np.eye(4, k=1, dtype=complex)
+        assert dz.index_of(a, P) == 4
+        dd = dz.core_nilpotent_decompose(a, P)
+        assert dd.p == 4 and dd.dim_h1 == 0 and not dd.a_d.any()
+        # a zero atol has no floor to overflow
+        assert dz.index_of(a, mc.NumericPolicy(atol=0.0)) == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_index_of_finite_floor_of_overflowing_magnitude(self):
+        # ||A||^2 = 1e314 overflows, but the floor atol * ||A||^2 does not:
+        # A^2 = [[1e300, 1e307], [0, 0]] keeps rank 1 above it, so the index
+        # is 1, not the 2 an infinite floor would give
+        a = np.array([[1e150, 1e157], [0, 0]], dtype=complex)
+        with pytest.raises(OverflowError):
+            float(np.linalg.norm(a, 2)) ** 2
+        assert dz.index_of(a, P) == 1
+        dd = dz.core_nilpotent_decompose(a, P)
+        assert (dd.p, dd.dim_h1, dd.dim_h2) == (1, 1, 1)
+        # the group inverse of [[a, b], [0, 0]] is [[1/a, b/a^2], [0, 0]]
+        np.testing.assert_allclose(dd.a_d, [[1e-150, 1e-143], [0, 0]], rtol=1e-12)
 
     @pytest.mark.parametrize("operand", ["B", "A", "X"])
     def test_non_finite_operand_of_defect_is_parse_error(self, operand):

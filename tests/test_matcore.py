@@ -101,6 +101,33 @@ class TestRankAndBases:
         assert mc.rank(m, P) == r
 
 
+class TestFrob:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            (np.full((2, 2), 1e155), 2e155),
+            (np.full((2, 2), 1e155 + 1e155j), 2 * math.sqrt(2) * 1e155),
+            (np.array([[1e300, -1e300]]), math.sqrt(2) * 1e300),
+        ],
+    )
+    def test_squares_that_overflow_are_rescaled(self, m, want):
+        assert mc.frob(m) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unrepresentable_or_non_finite_norm_stays_inf(self):
+        assert mc.frob(np.full((2, 2), 1e308)) == math.inf
+        assert mc.frob(np.array([[np.inf, 1.0]])) == math.inf
+        assert math.isnan(mc.frob(np.array([[np.nan, 1.0]])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 5), st.floats(-200, 150))
+    def test_finite_norm_is_numpys(self, seed, rows, cols, exp10):
+        m = 10.0**exp10 * _cgauss(_rng(seed), rows, cols)
+        want = float(np.linalg.norm(m)) if m.size else 0.0
+        assert mc.frob(m) == want
+
+
 class TestInverseEigen:
     def test_inverse_diag(self):
         np.testing.assert_allclose(

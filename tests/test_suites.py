@@ -151,3 +151,18 @@ def test_quadruple_draw_coverage():
             orders.add(params["n"])
         assert totals.issuperset(range(2, 9)), (hi_core, sorted(totals))
         assert orders == {1, 2, 3, 4}, (hi_core, sorted(orders))
+
+
+@pytest.mark.parametrize("name", ["thm1", "no_left_m_inv", "remark3", "remark2"])
+def test_suites_reuse_the_builders_decompositions(name, monkeypatch):
+    # these suites take A's Drazin data from the builder that certified A,
+    # so their reports do not change when the suite cannot decompose at all
+    cfg = SuiteConfig(suite=name, trials=30, dim_max=6, order_max=4, seed=3)
+    want = json.dumps(run_suite(cfg).to_json())
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError(f"suite {name} decomposed an operator again")
+
+    for fn in ("core_nilpotent_decompose", "drazin_inverse", "resolve_pair"):
+        monkeypatch.setattr(su, fn, no_decomposition)
+    assert json.dumps(run_suite(cfg).to_json()) == want
