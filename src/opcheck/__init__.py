@@ -25,7 +25,6 @@ from .kernels import (
     is_member,
     kernel,
     minimal_order,
-    transform_matrix,
 )
 from .generators import Family, GeneratedInstance, InstanceSpec, generate, rng_for
 from .suites import SuiteConfig, SuiteReport, available_suites, run_suite
@@ -49,7 +48,6 @@ __all__ = [
     "resolve_pair",
     "KernelBasis",
     "ClassificationResult",
-    "transform_matrix",
     "kernel",
     "is_member",
     "minimal_order",

@@ -116,10 +116,7 @@ def cmd_drazin(args, policy: NumericPolicy) -> int:
     a = load_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
         raise ParseError(f"drazin needs a square matrix, got {a.shape}")
-    # an overflowing power of A ends in IllConditioned; numpy's overflow
-    # warnings on the way there would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        dd = core_nilpotent_decompose(a, policy)
+    dd = core_nilpotent_decompose(a, policy)
     if args.json:
         print(json.dumps(dd.to_json(a), indent=2))
     else:
@@ -166,20 +163,17 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
         raise InvalidOrder(f"order must be >= 1, got {args.order}")
     kind = TransformKind(args.transform)
     sel = PairSelector(args.pair)
-    # an overflowing power of A or transform ends in IllConditioned; numpy's
-    # overflow warnings on the way there would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        # every partner is block diagonal in A's core-nilpotent splitting,
-        # which lets the kernel split; when A cannot be decomposed, the self
-        # and adjoint pairs take the one dense SVD
-        try:
-            dd = core_nilpotent_decompose(a, policy)
-        except (IllConditioned, Singular):
-            if sel.needs_drazin:
-                raise
-            dd = None
-        b = sel.partner(a, dd.a_d if dd else None)
-        basis = kernel(kind, b, a, args.order, policy, dd)
+    # every partner is block diagonal in A's core-nilpotent splitting, which
+    # lets the kernel split; when A cannot be decomposed, the self and
+    # adjoint pairs take the one dense SVD
+    try:
+        dd = core_nilpotent_decompose(a, policy)
+    except (IllConditioned, Singular):
+        if sel.needs_drazin:
+            raise
+        dd = None
+    b = sel.partner(a, dd.a_d if dd else None)
+    basis = kernel(kind, b, a, args.order, policy, dd)
     doc = basis.to_json()
     if sel.needs_drazin:
         doc["block_norms"] = []
@@ -319,7 +313,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         policy = _load_policy()
-        return globals()[f"cmd_{args.command}"](args, policy)
+        # an overflowing power, transform or defect ends in IllConditioned;
+        # numpy's overflow warnings on the way there would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return globals()[f"cmd_{args.command}"](args, policy)
     except (ParseError, InvalidOrder, UnknownSuite, OSError) as exc:
         # OSError: an --out or --report path that cannot be written
         print(f"opcheck: error: {exc}", file=sys.stderr)

@@ -48,43 +48,25 @@ from math import comb
 import numpy as np
 
 from .drazin import DrazinData
-from .errors import DimensionMismatch, IllConditioned, InvalidOrder, ToleranceInconsistency
+from .errors import IllConditioned, InvalidOrder, ToleranceInconsistency
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
     _spectral_rank,
     adjoint,
-    as_matrix,
     frob,
     matrix_to_json,
     unvectorize,
 )
-from .transforms import TransformKind, defect, defect_growth, defect_threshold, transform
+from .transforms import TransformKind, _operands, _step, defect, defect_growth, defect_threshold
 
 __all__ = [
     "KernelBasis",
     "ClassificationResult",
-    "transform_matrix",
     "kernel",
     "is_member",
     "minimal_order",
 ]
-
-
-def _operands(b, a, m: int) -> tuple[np.ndarray, np.ndarray]:
-    b, a = as_matrix(b), as_matrix(a)
-    if a.shape[0] != a.shape[1] or b.shape != a.shape:
-        raise DimensionMismatch(
-            f"B and A must be square of equal size, got {b.shape} and {a.shape}"
-        )
-    if m < 1:
-        raise InvalidOrder(f"order must be >= 1, got {m}")
-    return b, a
-
-
-def transform_matrix(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
-    """Matrix of X -> transform(B, A, X, m) on column-stacked weights."""
-    return _kron_sum(TransformKind(kind), *_operands(b, a, m), m)
 
 
 def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
@@ -257,7 +239,7 @@ def kernel(
     SVD (after numpy's overflow warnings, if those are on).
     """
     kind = TransformKind(kind)
-    b, a = _operands(b, a, m)
+    b, a = _operands(m, b, a)
     n = a.shape[0]
     if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= policy.rank_rtol:
         blocks = _split_blocks(kind, b, a, m, dd, policy)
@@ -347,12 +329,14 @@ def minimal_order(
 
     Once an order passes, every later order must pass as well (the defect
     at order n factors through the defect at order m for n >= m); a
-    violation is numerical breakdown and raises ToleranceInconsistency.
+    violation is numerical breakdown and raises ToleranceInconsistency. A
+    defect that overflows from finite operands raises IllConditioned, as
+    ``defect`` does.
     """
     if bound < 1:
         raise InvalidOrder(f"bound must be >= 1, got {bound}")
     kind = TransformKind(kind)
-    b, a, x = as_matrix(b), as_matrix(a), as_matrix(x)
+    b, a, x = _operands(bound, b, a, x)
     # the defect of order k is one step applied to the defect of order k-1
     growth, x_norm = defect_growth(b, a), frob(x)
     residuals: list[float] = []
@@ -361,8 +345,10 @@ def minimal_order(
     d = x
     for k in range(1, bound + 1):
         thresholds.append(defect_threshold(policy, growth, k, x_norm))
-        d = transform(kind, b, a, d, 1)
+        d = _step(kind, b, a, d)
         residuals.append(frob(d))
+        if not math.isfinite(residuals[-1]):
+            raise IllConditioned(f"the order-{k} defect of these operators overflows")
         passing.append(residuals[-1] <= thresholds[-1])
     first = next((i for i, ok in enumerate(passing) if ok), None)
     if first is not None:

@@ -10,11 +10,13 @@ For square matrices B, A of equal size, order m >= 1 and a weight X:
   Its vanishing makes B an (X,m)-adjoint of A; with B = A*, X = I it is
   the m-selfadjointness defect.
 
-Both are evaluated by applying the one-step map m times, which is the only
-implementation. The paper writes them as binomial sums,
+Both are evaluated by applying the one-step map ``_step`` m times, which is
+the only implementation; the minimal-order scan steps with it too. The
+paper writes them as binomial sums,
 sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j) and sum_j (-1)^j C(m,j) B^(m-j) X A^j;
 those sums are kept in the tests as the oracle the iteration is checked
-against.
+against. ``_operands`` is the one operand check of the numeric functions
+that take (B, A[, X]) and an order: the transforms, the kernel and the scan.
 
 Every identity the package checks says some defect vanishes.
 ``defect(kind, B, A, X, m, policy)`` is the one place that decision is
@@ -52,32 +54,44 @@ class TransformKind(str, Enum):
     DELTA = "delta"
 
 
-def _operands(b, a, x, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _operands(m: int, *ops) -> tuple[np.ndarray, ...]:
+    """The operands (B, A) or (B, A, X) of an order-m transform, as complex
+    matrices: each passes ``as_matrix``, which rejects a non-2-D operand
+    with DimensionMismatch and a non-finite one with ParseError, and each
+    must be square of A's size. An order below 1 raises InvalidOrder."""
     if m < 1:
         raise InvalidOrder(f"order must be >= 1, got {m}")
-    b, a, x = (np.asarray(t, dtype=np.complex128) for t in (b, a, x))
-    n = a.shape[0] if a.ndim == 2 else -1
-    for name, mat in (("B", b), ("A", a), ("X", x)):
-        if mat.ndim != 2 or mat.shape != (n, n):
+    ops = tuple(as_matrix(t) for t in ops)
+    n = ops[1].shape[0]
+    for name, mat in zip("BAX", ops):
+        if mat.shape != (n, n):
             raise DimensionMismatch(
                 f"{name} must be square of size {n}, got shape {mat.shape}"
             )
-    return b, a, x
+    return ops
+
+
+def _step(kind: TransformKind, b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One step of either map on validated operands: B X A - X for the
+    triangle transform, B X - X A for delta."""
+    if kind is TransformKind.TRIANGLE:
+        return b @ x @ a - x
+    return b @ x - x @ a
 
 
 def triangle(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """The m-th power of X -> B X A - X, applied to X."""
-    b, a, x = _operands(b, a, x, m)
+    b, a, x = _operands(m, b, a, x)
     for _ in range(m):
-        x = b @ x @ a - x
+        x = _step(TransformKind.TRIANGLE, b, a, x)
     return x
 
 
 def delta(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """The m-th power of X -> B X - X A, applied to X."""
-    b, a, x = _operands(b, a, x, m)
+    b, a, x = _operands(m, b, a, x)
     for _ in range(m):
-        x = b @ x - x @ a
+        x = _step(TransformKind.DELTA, b, a, x)
     return x
 
 
@@ -123,7 +137,5 @@ def defect(kind: TransformKind, b, a, x, m: int, policy) -> tuple[float, float]:
     """
     res = frob(transform(kind, b, a, x, m))
     if not math.isfinite(res):
-        for t in (b, a, x):
-            as_matrix(t)  # raises ParseError on a non-finite entry
         raise IllConditioned(f"the order-{m} defect of these operators overflows")
     return res, defect_threshold(policy, defect_growth(b, a), m, frob(x))

@@ -4,6 +4,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opcheck.cli as cli
@@ -403,16 +404,20 @@ _NAN_SQUARE = [[0, 0], [-1e200 - 1e200j, -1e300 - 1e300j]]
         # A^2 has NaN entries, which once reached an SVD that did not converge
         (_NAN_SQUARE, ["drazin"]),
         (_NAN_SQUARE, ["classify", "--transform", "delta", "--pair", "drazin"]),
+        # the thresholds stay finite, but the scan's order-2 defect overflows
+        ([[1e155, 1e155], [0, 1e155]], ["classify", "--transform", "delta", "--pair", "drazin",
+                                        "--json"]),
     ],
     ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular",
-         "drazin-nan-square", "classify-nan-square"],
+         "drazin-nan-square", "classify-nan-square", "classify-scan-1e155"],
 )
 def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
-    # finite entries whose defect scale or power of A overflows
+    # finite entries whose defect scale, defect or power of A overflows
     path = tmp_path / "huge.json"
     mc.save_matrix(path, np.array(entries, dtype=complex))
     proc = _run_opcheck([argv[0], str(path), *argv[1:]])
     assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
     assert "opcheck: numerical failure:" in proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
@@ -468,7 +473,7 @@ _ENTRY = st.sampled_from(
 )
 
 
-def _matrix_docs():
+def _matrix_docs(entry=_ENTRY):
     def doc(rows, cols, entries):
         it = iter(entries)
         data = [[[next(it), next(it)] for _ in range(cols)] for _ in range(rows)]
@@ -476,44 +481,75 @@ def _matrix_docs():
 
     return st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
         lambda rc: st.builds(doc, st.just(rc[0]), st.just(rc[1]),
-                             st.lists(_ENTRY, min_size=2 * rc[0] * rc[1],
+                             st.lists(entry, min_size=2 * rc[0] * rc[1],
                                       max_size=2 * rc[0] * rc[1]))
     )
 
 
-def _exit_code_of(argv):
-    """``main(argv)`` with its output swallowed; an exception escaping it is
-    what a traceback from the ``opcheck`` script would show."""
-    err = io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _matrix_texts():
+    """Matrix files: four draws in six are documents with finite entries,
+    one has NaN/Infinity entries too, and one is a truncated document."""
+    finite = _matrix_docs().map(json.dumps)
+    non_finite = _matrix_docs(_ENTRY | st.sampled_from([math.nan, math.inf, -math.inf]))
+    malformed = finite.flatmap(lambda t: st.integers(0, len(t) - 1).map(lambda k: t[:k]))
+    choices = [finite] * 4 + [non_finite.map(json.dumps), malformed]
+    return st.sampled_from(choices).flatmap(lambda strategy: strategy)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _run_main(argv):
+    """(exit code, stdout) of ``main(argv)``. An exception escaping it is
+    what a traceback from the ``opcheck`` script would show, and a numpy
+    RuntimeWarning is what the script would write to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
     assert "Traceback" not in err.getvalue()
-    return rc
+    assert "RuntimeWarning" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    return rc, out.getvalue()
+
+
+# the scan's defect overflows from order 2 on; it once exited 0 printing NaN
+_SCAN_OVERFLOW = {"rows": 2, "cols": 2,
+                  "data": [[[1e155, 0], [1e155, 0]], [[0, 0], [1e155, 0]]]}
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    doc=_matrix_docs(),
+    text=_matrix_texts(),
     command=st.sampled_from(["drazin", "classify", "kernel"]),
     transform=st.sampled_from(["triangle", "delta"]),
     pair=st.sampled_from(["self", "adjoint", "drazin", "drazin-adjoint"]),
     order=st.integers(-1, 6),
+    as_json=st.booleans(),
 )
+@example(text=json.dumps(_SCAN_OVERFLOW), command="classify", transform="delta", pair="drazin",
+         order=6, as_json=True)
 def test_fuzzed_matrix_commands_end_with_a_documented_exit_code(
-    doc, command, transform, pair, order
+    text, command, transform, pair, order, as_json
 ):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         if command == "drazin":
-            argv = ["drazin", path, *(["--json"] if order % 2 else [])]
+            argv = ["drazin", path]
         else:
             flag = "--max-order" if command == "classify" else "--order"
             argv = [command, path, "--transform", transform, "--pair", pair, flag, str(order)]
-        assert _exit_code_of(argv) in (0, 1, 2, 3)
+        if as_json and command != "kernel":
+            argv.append("--json")
+        rc, out = _run_main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc == 0 and (as_json or command == "kernel"):
+        # strict JSON: a NaN or infinite number is not valid
+        json.loads(out, parse_constant=_reject_constant)
 
 
 # the dims and orders each family takes; most draws keep them, so that the
@@ -538,4 +574,4 @@ def test_fuzzed_example_ends_with_a_documented_exit_code(family, data, seed):
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["example", "--family", family, "--dims", ",".join(map(str, dims)),
                 "--orders", ",".join(map(str, orders)), "--seed", str(seed), "--out", tmp]
-        assert _exit_code_of(argv) in (0, 1, 2, 3)
+        assert _run_main(argv)[0] in (0, 1, 2, 3)

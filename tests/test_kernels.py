@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from binomial import kron_transform_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opcheck import drazin as dz
 from opcheck import kernels as kn
@@ -14,6 +16,7 @@ from opcheck import transforms as tf
 from opcheck.errors import (
     DimensionMismatch,
     IllConditioned,
+    OpcheckError,
     ParseError,
     ToleranceInconsistency,
 )
@@ -39,12 +42,12 @@ def _cgauss(rng, n):
 class TestTransformMatrix:
     def test_identity_pair_is_zero(self):
         for n in (1, 2, 3):
-            tm = kn.transform_matrix(TK.TRIANGLE, mc.eye(n), mc.eye(n), 2)
+            tm = kn._kron_sum(TK.TRIANGLE, mc.eye(n), mc.eye(n), 2)
             assert tm.shape == (n * n, n * n)
             assert mc.frob(tm) <= 1e-13
 
     def test_scalar_case(self):
-        tm = kn.transform_matrix(
+        tm = kn._kron_sum(
             TK.TRIANGLE, np.array([[3.0]], dtype=complex), np.array([[2.0]], dtype=complex), 1
         )
         np.testing.assert_allclose(tm, [[5.0]], atol=1e-14)
@@ -56,7 +59,7 @@ class TestTransformMatrix:
             m = int(rng.integers(1, 5))
             b, a = _cgauss(rng, n), _cgauss(rng, n)
             for kind in TK:
-                tm = kn.transform_matrix(kind, b, a, m)
+                tm = kn._kron_sum(kind, b, a, m)
                 for _ in range(100):
                     x = _cgauss(rng, n)
                     lhs = tm @ x.reshape(-1, order="F")
@@ -64,17 +67,13 @@ class TestTransformMatrix:
                     scale = tf.defect_growth(b, a) ** m * mc.frob(x)
                     assert np.abs(lhs - rhs).max() <= P.rtol * scale
 
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            kn.transform_matrix(TK.DELTA, mc.eye(2), mc.eye(3), 1)
-
     def test_equals_kron_oracle_bitwise(self):
         rng = rng_for(0, 109)
         for n in range(1, 7):
             for m in range(1, 5):
                 b, a = _cgauss(rng, n), _cgauss(rng, n)
                 for kind in TK:
-                    got = kn.transform_matrix(kind, b, a, m)
+                    got = kn._kron_sum(kind, b, a, m)
                     want = kron_transform_matrix(kind, b, a, m)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -91,6 +90,10 @@ class TestTransformMatrix:
 
 
 class TestKernel:
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            kn.kernel(TK.DELTA, mc.eye(2), mc.eye(3), 1)
+
     def test_scalar_cancellation(self):
         basis = kn.kernel(
             TK.TRIANGLE, np.array([[0.5]], dtype=complex), np.array([[2.0]], dtype=complex), 1, P
@@ -253,7 +256,7 @@ def _reference_kernel(kind, b, a, m, dd=None):
     if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= P.rank_rtol:
         blocks = kn._split_blocks(kind, b, a, m, dd, P)
     else:
-        blocks = [(None, None, kn.transform_matrix(kind, b, a, m))]
+        blocks = [(None, None, kn._kron_sum(kind, b, a, m))]
     svds = [np.linalg.svd(tm, full_matrices=True)[1:] for *_, tm in blocks]
     sv = np.sort(np.concatenate([s for s, _ in svds]))[::-1]
     zero_floor = P.zero_threshold(tf.defect_growth(b, a) ** m)
@@ -350,7 +353,7 @@ class TestKernelSvds:
             a = _cgauss(rng, p)
             for kind in TK:
                 for m in (1, 2, 3):
-                    tm = kn.transform_matrix(kind, mc.adjoint(a), a, m)
+                    tm = kn._kron_sum(kind, mc.adjoint(a), a, m)
                     c = 1 if kind == TK.TRIANGLE else (-1j) ** m
                     full = c * (mc.adjoint(u) @ tm @ u)
                     # the rounding of the binomial build is relative to its
@@ -505,6 +508,15 @@ class TestOneThreshold:
             tf.defect(TK.DELTA, d, d, d, 1, P)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scan_of_overflowing_defect_is_ill_conditioned(self):
+        # every threshold of the Drazin pair is finite, but from order 2 on
+        # the defect holds A^2 ~ 1e310, which overflows
+        a = np.array([[1e155, 1e155], [0, 1e155]], dtype=complex)
+        b = dz.resolve_pair(a, dz.PairSelector.DRAZIN, P)
+        with pytest.raises(IllConditioned, match="order-2"):
+            kn.minimal_order(TK.DELTA, b, a, mc.eye(2), 6, P)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "a",
         [
@@ -551,3 +563,52 @@ class TestOneThreshold:
                 tf.defect(kind, ops["B"], ops["A"], ops["X"], 2, P)
             with pytest.raises(ParseError):
                 kn.is_member(kind, ops["B"], ops["A"], ops["X"], 2, P)
+
+
+# entry moduli from the smallest to the largest normal exponents, both signs
+_ENTRY = st.sampled_from(
+    [0.0] + [s * 10.0**e for e in (-300, -100, -10, 0, 10, 100, 200, 300) for s in (1, -1)]
+)
+
+
+@st.composite
+def _operand(draw, n: int):
+    """An n x n operand; one draw in four has a NaN or inf entry."""
+    v = draw(st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n))
+    if v and not draw(st.integers(0, 3)):
+        v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(v, dtype=float).view(np.complex128).reshape(n, n)
+
+
+@st.composite
+def _operand_sets(draw):
+    """(B, A, X) of up to 4 x 4; B and X mostly take A's size."""
+    n = draw(st.integers(0, 4))
+
+    def size():
+        return n if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+
+    return draw(_operand(size())), draw(_operand(n)), draw(_operand(size()))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(ops=_operand_sets(), kind=st.sampled_from(list(TK)), m=st.integers(0, 5))
+def test_only_package_errors_escape_the_numeric_api(ops, kind, m):
+    b, a, x = ops
+    calls = [
+        lambda: tf.triangle(b, a, x, m),
+        lambda: tf.delta(b, a, x, m),
+        lambda: tf.transform(kind, b, a, x, m),
+        lambda: tf.defect(kind, b, a, x, m, P),
+        lambda: kn.is_member(kind, b, a, x, m, P),
+        lambda: kn.kernel(kind, b, a, m, P),
+        lambda: kn.minimal_order(kind, b, a, x, m, P),
+        lambda: dz.index_of(a, P),
+        lambda: dz.core_nilpotent_decompose(a, P),
+    ]
+    for call in calls:
+        try:
+            call()
+        except OpcheckError:
+            pass

@@ -9,7 +9,7 @@ import pytest
 from opcheck import kernels as kn
 from opcheck import matcore as mc
 from opcheck import transforms as tf
-from opcheck.errors import DimensionMismatch
+from opcheck.errors import DimensionMismatch, ParseError
 
 from binomial import binomial_transform
 
@@ -177,3 +177,16 @@ def test_order_must_be_positive():
         tf.triangle(I2, I2, I2, 0)
     with pytest.raises(ValueError):
         tf.delta(I2, I2, I2, 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("operand", ["B", "A", "X"])
+def test_non_finite_operand_is_parse_error(operand, value):
+    ops = {"B": mc.adjoint(JORDAN2), "A": JORDAN2, "X": I2}
+    ops[operand] = np.array([[value, 1], [0, 1]], dtype=complex)
+    calls = [tf.triangle, tf.delta] + [
+        lambda b, a, x, m, kind=kind: tf.transform(kind, b, a, x, m) for kind in tf.TransformKind
+    ]
+    for call in calls:
+        with pytest.raises(ParseError):
+            call(ops["B"], ops["A"], ops["X"], 1)
