@@ -8,14 +8,24 @@ one half fails outright (that guards against vacuous green runs).
 Generation errors are counted separately from mathematical failures.
 
 Reports are deterministic per (config, seed): every trial draws from its
-own key-split stream, so serial and parallel execution would see the same
-instances.
+own key-split stream ``rng_for(seed, lane, t)`` and records what it found
+in an ``extras`` dict of its own, so no trial sees another's state.
+``run_suite`` therefore fans the trials out over the CPUs in the process's
+affinity mask: it splits them into one contiguous block per CPU (at most
+one per trial), runs the first block itself and each other block in a
+forked worker, which pickles its per-trial records back through a pipe.
+The records are then reduced in trial order, exactly as a serial loop
+would, so the report is byte-identical at any CPU count. With one CPU, one
+trial or no ``fork`` the same trial loop runs in the calling process. An
+exception that ends a block escapes ``run_suite`` with its type, the one
+from the lowest trial winning, and every worker is reaped either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -720,30 +730,104 @@ def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
+def _run_trials(cfg: SuiteConfig, trials: range) -> list:
+    """One record ``(t, outcome, extras)`` per trial, in trial order. The
+    outcome is the trial's checks, None for a skip, or the text of its
+    generation error; ``extras`` holds what the trial recorded besides."""
+    trial_fn = _SUITES[cfg.suite]
+    records = []
+    for t in trials:
+        extras: dict = {}
+        try:
+            outcome = trial_fn(cfg, rng_for(cfg.seed, _LANE[cfg.suite], t), extras, t)
+        except _Skip:
+            outcome = None
+        except (GenerationFailed, IllConditioned, Singular) as exc:
+            outcome = str(exc)
+        records.append((t, outcome, extras))
+    return records
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _send_trials(cfg: SuiteConfig, trials: range, conn) -> None:
+    """A worker's body: send ``(True, records)``, or ``(False, exc)`` for
+    the exception that ended its block."""
+    try:
+        result = (True, _run_trials(cfg, trials))
+    except BaseException as exc:
+        result = (False, exc)
+    conn.send(result)
+
+
+def _fan_out(cfg: SuiteConfig) -> list:
+    """``_run_trials`` over all trials, in contiguous blocks: the calling
+    process runs the first, one forked worker runs each other block."""
+    workers = min(_cpu_count(), cfg.trials)
+    if workers == 1 or not hasattr(os, "fork"):
+        return _run_trials(cfg, range(cfg.trials))
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    bounds = [cfg.trials * w // workers for w in range(workers + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    children = []
+    try:
+        for block in blocks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_trials, args=(cfg, block, send))
+            proc.start()
+            send.close()  # the worker holds the only write end, so its death reads as EOF
+            children.append((block, proc, recv))
+        records = _run_trials(cfg, blocks[0])
+        for block, proc, recv in children:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(
+                    f"suite {cfg.suite}: the worker for trials {block.start}..{block.stop - 1} "
+                    f"exited with code {proc.exitcode} before sending its results"
+                ) from None
+            if not ok:
+                raise result
+            records += result
+    except BaseException:
+        for _, proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in children:
+            recv.close()
+            proc.join()
+    return records
+
+
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     if cfg.suite not in _SUITES:
         raise UnknownSuite(
             f"unknown suite {cfg.suite!r}; available: {', '.join(_SUITES)}"
         )
-    trial_fn = _SUITES[cfg.suite]
     failures: list[TrialFailure] = []
-    extras: dict = {}
+    anomalies: list = []
+    generation_errors: list = []
     passes = skips = genfails = 0
     max_residual = 0.0
     max_ratio = 0.0
-    for t in range(cfg.trials):
-        rng = rng_for(cfg.seed, _LANE[cfg.suite], t)
-        try:
-            checks = trial_fn(cfg, rng, extras, t)
-        except _Skip:
+    for t, checks, extras in _fan_out(cfg):
+        anomalies += extras.get("anomalies", [])
+        if checks is None:
             skips += 1
             continue
-        except (GenerationFailed, IllConditioned, Singular) as exc:
+        if isinstance(checks, str):
             genfails += 1
             skips += 1
-            extras.setdefault("generation_errors", []).append(
-                {"trial": t, "error": str(exc)}
-            )
+            generation_errors.append({"trial": t, "error": checks})
             continue
         ok = True
         for clause, residual, threshold, detail in checks:
@@ -775,7 +859,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         failures=failures,
         max_residual=max_residual,
         max_ratio=max_ratio,
-        anomalies=extras.get("anomalies", []),
-        generation_errors=extras.get("generation_errors", []),
+        anomalies=anomalies,
+        generation_errors=generation_errors,
     )
     return report

@@ -316,10 +316,20 @@ def _run_opcheck(argv):
     show as a traceback and nothing is shared with earlier calls."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     env.pop("OPCHECK_POLICY", None)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered as by default
     return subprocess.run(
         [sys.executable, "-m", "opcheck", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_verify_prints_one_line_per_suite_into_a_pipe():
+    # stdout is a pipe, so block-buffered: a worker forked while the
+    # previous suite's line sits in the buffer must not print it again
+    proc = _run_opcheck(["verify", "--suite", "all", "--trials", "6"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == list(available_suites())
 
 
 def _assert_usage_error(proc):

@@ -605,8 +605,19 @@ def test_only_package_errors_escape_the_numeric_api(ops, kind, m):
         lambda: kn.kernel(kind, b, a, m, P),
         lambda: kn.minimal_order(kind, b, a, x, m, P),
         lambda: dz.index_of(a, P),
-        lambda: dz.core_nilpotent_decompose(a, P),
+        lambda: dz.drazin_inverse(a, P),
+        *(lambda sel=sel: dz.resolve_pair(a, sel, P) for sel in dz.PairSelector),
     ]
+    try:
+        dd = dz.core_nilpotent_decompose(a, P)
+    except OpcheckError:
+        pass
+    else:
+        calls += [
+            lambda: dz.block_view(x, dd),
+            *(lambda sel=sel: kn.kernel(kind, sel.partner(a, dd.a_d), a, m, P, dd)
+              for sel in dz.PairSelector),
+        ]
     for call in calls:
         try:
             call()

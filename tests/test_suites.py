@@ -3,6 +3,7 @@ budget, reports are deterministic, and the bookkeeping rules (skip budget,
 generation-failure accounting) behave as documented."""
 
 import json
+import os
 
 import pytest
 
@@ -166,3 +167,120 @@ def test_suites_reuse_the_builders_decompositions(name, monkeypatch):
     for fn in ("core_nilpotent_decompose", "drazin_inverse", "resolve_pair"):
         monkeypatch.setattr(su, fn, no_decomposition)
     assert json.dumps(run_suite(cfg).to_json()) == want
+
+
+def _cpus(monkeypatch, k):
+    """Pretend the process may run on k CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: k)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked during a test."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no such child left, not even a zombie
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", available_suites())
+def test_reports_do_not_depend_on_the_cpu_count(name, monkeypatch, forks):
+    cfg = SuiteConfig(suite=name, trials=12, dim_max=4, order_max=3, seed=7)
+    _cpus(monkeypatch, 1)
+    serial = run_suite(cfg).to_json()
+    assert not forks
+    _cpus(monkeypatch, 3)
+    assert run_suite(cfg).to_json() == serial
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_a_workers_exception_escapes_with_its_type(monkeypatch, forks):
+    def raises_late(cfg, rng, extras, trial):
+        if trial >= 6:
+            raise ValueError(f"trial {trial}")
+        return [("ok", 0.0, 1.0, {})]
+
+    monkeypatch.setitem(su._SUITES, "thm1", raises_late)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="trial 6"):
+        run_suite(SuiteConfig(suite="thm1", trials=12, seed=0))
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("bad", [(4, 7), (1, 7), (1, 4)])
+def test_the_lowest_trials_exception_wins(bad, monkeypatch, forks):
+    # blocks of trials 0-2 (run by the caller), 3-5 and 6-8
+    def raises_at(cfg, rng, extras, trial):
+        if trial == bad[0]:
+            raise ValueError(f"trial {trial}")
+        if trial == bad[1]:
+            raise KeyError(f"trial {trial}")
+        return [("ok", 0.0, 1.0, {})]
+
+    monkeypatch.setitem(su._SUITES, "thm1", raises_at)
+    _cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match=f"trial {bad[0]}"):
+        run_suite(SuiteConfig(suite="thm1", trials=9, seed=0))
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_a_worker_that_dies_is_reported_not_waited_for(monkeypatch, forks):
+    def dies(cfg, rng, extras, trial):
+        if trial == 5:
+            os._exit(7)
+        return [("ok", 0.0, 1.0, {})]
+
+    monkeypatch.setitem(su._SUITES, "thm1", dies)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match=r"trials 4\.\.7 exited with code 7"):
+        run_suite(SuiteConfig(suite="thm1", trials=8, seed=0))
+    _assert_reaped(forks)
+
+
+def test_one_trial_forks_nothing(monkeypatch, forks):
+    _cpus(monkeypatch, 8)
+    rep = run_suite(SuiteConfig(suite="remark3", trials=1, seed=0))
+    assert rep.trials == 1 and not forks
+
+
+def test_workers_are_capped_by_the_trials(monkeypatch, forks):
+    _cpus(monkeypatch, 64)
+    rep = run_suite(SuiteConfig(suite="remark3", trials=3, seed=0))
+    assert rep.passes + rep.skips == 3
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_skips_errors_and_anomalies_merge_in_trial_order(monkeypatch):
+    def mixed(cfg, rng, extras, trial):
+        extras.setdefault("anomalies", []).append({"trial": trial})
+        if trial % 3 == 1:
+            raise su._Skip("synthetic")
+        if trial % 3 == 2:
+            raise GenerationFailed(f"draw {trial}")
+        return [("ok", float(trial), 10.0, {})]
+
+    monkeypatch.setitem(su._SUITES, "thm2", mixed)
+    _cpus(monkeypatch, 3)
+    rep = run_suite(SuiteConfig(suite="thm2", trials=9, seed=0))
+    assert [a["trial"] for a in rep.anomalies] == list(range(9))
+    assert rep.generation_errors == [{"trial": t, "error": f"draw {t}"} for t in (2, 5, 8)]
+    assert (rep.passes, rep.skips, rep.generation_failures) == (3, 6, 3)
+    assert rep.max_residual == 6.0 and rep.max_ratio == 0.6
