@@ -317,14 +317,11 @@ def main(argv=None) -> int:
         # numpy's overflow warnings on the way there would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             return globals()[f"cmd_{args.command}"](args, policy)
-    except (ParseError, InvalidOrder, UnknownSuite, OSError) as exc:
-        # OSError: an --out or --report path that cannot be written
-        print(f"opcheck: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (IllConditioned, Singular, ToleranceInconsistency) as exc:
         print(f"opcheck: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OpcheckError as exc:
+    except (OpcheckError, OSError) as exc:
+        # OSError: an --out or --report path that cannot be written
         print(f"opcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

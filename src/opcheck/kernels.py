@@ -48,7 +48,7 @@ from math import comb
 import numpy as np
 
 from .drazin import DrazinData
-from .errors import IllConditioned, InvalidOrder, ToleranceInconsistency
+from .errors import IllConditioned, ToleranceInconsistency
 from .matcore import (
     DEFAULT_POLICY,
     NumericPolicy,
@@ -78,13 +78,16 @@ def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.n
         ap.append(ap[-1] @ a)
         bp.append(bp[-1] @ b)
     # kron(R, L)[i p + k, j p + l] = R[i, j] L[k, l]: each term is built as
-    # the (q, p, q, p) broadcast product and the sum reshaped once
+    # the (q, p, q, p) broadcast product in one reused buffer, scaled in
+    # place, and the sum reshaped once
     q, p = a.shape[0], b.shape[0]
     acc = np.zeros((q, p, q, p), dtype=np.complex128)
+    term = np.empty_like(acc)
     for j in range(m + 1):
         right = ap[m - j] if kind == TransformKind.TRIANGLE else ap[j]
-        term = right.T[:, None, :, None] * bp[m - j][None, :, None, :]
-        acc += (-1) ** j * comb(m, j) * term
+        np.multiply(right.T[:, None, :, None], bp[m - j][None, :, None, :], out=term)
+        term *= (-1) ** j * comb(m, j)
+        acc += term
     return acc.reshape(q * p, q * p)
 
 
@@ -331,10 +334,8 @@ def minimal_order(
     at order n factors through the defect at order m for n >= m); a
     violation is numerical breakdown and raises ToleranceInconsistency. A
     defect that overflows from finite operands raises IllConditioned, as
-    ``defect`` does.
+    ``defect`` does, and a bound below 1 raises InvalidOrder.
     """
-    if bound < 1:
-        raise InvalidOrder(f"bound must be >= 1, got {bound}")
     kind = TransformKind(kind)
     b, a, x = _operands(bound, b, a, x)
     # the defect of order k is one step applied to the defect of order k-1

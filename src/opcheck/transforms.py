@@ -10,8 +10,9 @@ For square matrices B, A of equal size, order m >= 1 and a weight X:
   Its vanishing makes B an (X,m)-adjoint of A; with B = A*, X = I it is
   the m-selfadjointness defect.
 
-Both are evaluated by applying the one-step map ``_step`` m times, which is
-the only implementation; the minimal-order scan steps with it too. The
+``transform(kind, B, A, X, m)`` validates the operands and applies the
+one-step map ``_step`` m times; ``triangle`` and ``delta`` are ``transform``
+with a fixed kind, and the minimal-order scan steps with ``_step`` too. The
 paper writes them as binomial sums,
 sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j) and sum_j (-1)^j C(m,j) B^(m-j) X A^j;
 those sums are kept in the tests as the oracle the iteration is checked
@@ -79,26 +80,23 @@ def _step(kind: TransformKind, b: np.ndarray, a: np.ndarray, x: np.ndarray) -> n
     return b @ x - x @ a
 
 
-def triangle(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """The m-th power of X -> B X A - X, applied to X."""
+def transform(kind: TransformKind, b, a, x, m: int) -> np.ndarray:
+    """The m-th power of the ``kind`` map, applied to X."""
+    kind = TransformKind(kind)
     b, a, x = _operands(m, b, a, x)
     for _ in range(m):
-        x = _step(TransformKind.TRIANGLE, b, a, x)
+        x = _step(kind, b, a, x)
     return x
+
+
+def triangle(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """The m-th power of X -> B X A - X, applied to X."""
+    return transform(TransformKind.TRIANGLE, b, a, x, m)
 
 
 def delta(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """The m-th power of X -> B X - X A, applied to X."""
-    b, a, x = _operands(m, b, a, x)
-    for _ in range(m):
-        x = _step(TransformKind.DELTA, b, a, x)
-    return x
-
-
-def transform(kind: TransformKind, b, a, x, m: int) -> np.ndarray:
-    if TransformKind(kind) == TransformKind.TRIANGLE:
-        return triangle(b, a, x, m)
-    return delta(b, a, x, m)
+    return transform(TransformKind.DELTA, b, a, x, m)
 
 
 def defect_growth(b: np.ndarray, a: np.ndarray) -> float:

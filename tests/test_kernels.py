@@ -8,6 +8,7 @@ import pytest
 from binomial import kron_transform_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import _ARITY
 
 from opcheck import drazin as dz
 from opcheck import kernels as kn
@@ -16,11 +17,15 @@ from opcheck import transforms as tf
 from opcheck.errors import (
     DimensionMismatch,
     IllConditioned,
+    InvalidOrder,
     OpcheckError,
     ParseError,
     ToleranceInconsistency,
 )
 from opcheck.generators import (
+    Family,
+    InstanceSpec,
+    generate,
     make_drazin_block,
     random_invertible,
     random_nilpotent,
@@ -429,8 +434,10 @@ class TestMinimalOrder:
         assert all(r > t for r, t in zip(res.residuals, res.thresholds))
 
     def test_bound_validated(self):
-        with pytest.raises(ValueError):
-            kn.minimal_order(TK.DELTA, E12, E12, mc.eye(2), 0, P)
+        # by the scan's operand check, before any step
+        for kind in TK:
+            with pytest.raises(InvalidOrder):
+                kn.minimal_order(kind, E12, E12, mc.eye(2), 0, P)
 
     def test_tolerance_inconsistency_detected(self):
         # weight = exact kernel element plus a tiny component along an
@@ -573,7 +580,16 @@ _ENTRY = st.sampled_from(
 
 @st.composite
 def _operand(draw, n: int):
-    """An n x n operand; one draw in four has a NaN or inf entry."""
+    """An n x n operand. From 2 x 2 on, one draw in four is U (C + N) U*
+    for a Haar unitary U, an invertible C and a nilpotent N, whose unitary,
+    proper core-nilpotent splitting sends ``kernel`` down its split-block
+    path; of the other draws, one in four has a NaN or inf entry."""
+    if n >= 2 and not draw(st.integers(0, 3)):
+        rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+        n1 = draw(st.integers(1, n - 1))
+        u = random_unitary(n, rng)
+        nil = random_nilpotent(n - n1, draw(st.integers(1, n - n1)), rng)
+        return u @ mc.block_diag(random_invertible(n1, rng), nil) @ mc.adjoint(u)
     v = draw(st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n))
     if v and not draw(st.integers(0, 3)):
         v[draw(st.integers(0, len(v) - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -591,12 +607,30 @@ def _operand_sets(draw):
     return draw(_operand(size())), draw(_operand(n)), draw(_operand(size()))
 
 
+@st.composite
+def _specs(draw):
+    """One InstanceSpec per family, at the family's arity, with dims in
+    [-1, 5] and orders in [-1, 4]."""
+    return [
+        InstanceSpec(
+            Family(fam),
+            tuple(draw(st.lists(st.integers(-1, 5), min_size=nd, max_size=nd))),
+            tuple(draw(st.lists(st.integers(-1, 4), min_size=no, max_size=no))),
+            draw(st.integers(0, 2**32 - 1)),
+        )
+        for fam, (nd, no) in _ARITY.items()
+    ]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
-@given(ops=_operand_sets(), kind=st.sampled_from(list(TK)), m=st.integers(0, 5))
-def test_only_package_errors_escape_the_numeric_api(ops, kind, m):
+@given(
+    ops=_operand_sets(), kind=st.sampled_from(list(TK)), m=st.integers(0, 5), specs=_specs()
+)
+def test_only_package_errors_escape_the_numeric_api(ops, kind, m, specs):
     b, a, x = ops
     calls = [
+        *(lambda spec=spec: generate(spec, P) for spec in specs),
         lambda: tf.triangle(b, a, x, m),
         lambda: tf.delta(b, a, x, m),
         lambda: tf.transform(kind, b, a, x, m),
