@@ -93,7 +93,10 @@ def _load_policy() -> NumericPolicy:
             doc = json.load(fh)
         names = [f.name for f in dataclasses.fields(NumericPolicy)]
         return NumericPolicy(**{k: float(doc[k]) for k in names if k in doc})
-    except (OSError, json.JSONDecodeError, TypeError, ValueError, KeyError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and a non-finite
+    # field; OverflowError an integer beyond float range; RecursionError deep
+    # nesting
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad policy file {path}: {exc}") from exc
 
 

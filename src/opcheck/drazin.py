@@ -12,7 +12,6 @@ basis is checked against the policy and failure raises
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,16 +47,6 @@ __all__ = [
 ]
 
 
-def _log_space_floor(atol: float, base: float, k: int) -> float:
-    """atol * base**k for a base**k that overflows (base >= 1); inf if the product does."""
-    if not atol:
-        return 0.0
-    try:
-        return math.exp(math.log(atol) + k * math.log(base))
-    except OverflowError:
-        return math.inf
-
-
 def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray, int]:
     """Index p of a square A, together with A^p and its rank.
 
@@ -66,12 +55,13 @@ def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray,
     singular values of A^k are also floored at atol times the natural
     magnitude ||A||^k of the power; ||A||_2 is the largest singular value
     of A^1, the first power searched. A power whose entries overflow raises
-    IllConditioned. When ||A||^k alone overflows, the floor is formed in log
-    space, since atol can bring it back into range; only a floor that itself
-    overflows lies above every finite singular value, giving that power rank 0.
+    IllConditioned. The floor is a running product, one factor of
+    max(1, ||A||) per power: its factors are >= 1, so it overflows to inf
+    only when the floor itself does, and then lies above every finite
+    singular value, giving that power rank 0.
     """
     n = a.shape[0]
-    ak, rank_k, base = np.eye(n, dtype=np.complex128), n, 1.0
+    ak, rank_k, base, floor = np.eye(n, dtype=np.complex128), n, 1.0, policy.atol
     # an overflowing power raises below; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
@@ -81,10 +71,7 @@ def _index_power(a: np.ndarray, policy: NumericPolicy) -> tuple[int, np.ndarray,
             s = np.linalg.svd(nxt, compute_uv=False)
             if k == 0:
                 base = max(1.0, float(s[0]))
-            try:
-                floor = policy.atol * base ** (k + 1)
-            except OverflowError:
-                floor = _log_space_floor(policy.atol, base, k + 1)
+            floor *= base
             r = _spectral_rank(s, policy.rank_rtol, floor)
             if r == rank_k:
                 return k, ak, rank_k

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class NumericPolicy:
     cond_max: float = 1e8
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.atol < 0 or self.rtol < 0 or self.rank_rtol < 0:
             raise ValueError("tolerances must be nonnegative")
         if not self.cond_max > 1:

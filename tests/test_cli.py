@@ -311,11 +311,14 @@ def test_no_command_is_usage_error():
     assert main([]) == 1
 
 
-def _run_opcheck(argv):
+def _run_opcheck(argv, policy=None):
     """Run ``opcheck`` in a fresh process, so an uncaught exception would
-    show as a traceback and nothing is shared with earlier calls."""
+    show as a traceback and nothing is shared with earlier calls; ``policy``
+    is the path ``OPCHECK_POLICY`` names, if any."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     env.pop("OPCHECK_POLICY", None)
+    if policy is not None:
+        env["OPCHECK_POLICY"] = str(policy)
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered as by default
     return subprocess.run(
         [sys.executable, "-m", "opcheck", *argv],
@@ -355,6 +358,35 @@ def _assert_usage_error(proc):
 )
 def test_bad_order_or_count_is_usage_error(argv, fixture_files):
     _assert_usage_error(_run_opcheck([a.format(**fixture_files) for a in argv]))
+
+
+_CLASSIFY_JORDAN = ["classify", "{jordan}", "--transform", "delta", "--pair", "adjoint"]
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        # accepted, these gave NaN thresholds and no minimal order <= 6, where
+        # the order is 3;
+        (b'{"rtol": NaN}', _CLASSIFY_JORDAN),
+        # minimal order 1;
+        (b'{"atol": Infinity}', _CLASSIFY_JORDAN),
+        # and index 1 with a zero Drazin inverse of an invertible matrix
+        (b'{"rank_rtol": NaN}', ["drazin", "{jordan}"]),
+        (b'{"cond_max": -Infinity}', ["drazin", "{jordan}"]),
+        (b'{"atol": 1' + b"0" * 400 + b"}", ["drazin", "{jordan}"]),
+        (b"[" * 100_000, ["drazin", "{jordan}"]),
+    ],
+    ids=["rtol-nan", "atol-inf", "rank-rtol-nan", "cond-max-neg-inf", "400-digit-integer",
+         "deep-nesting"],
+)
+def test_bad_policy_file_is_usage_error_before_any_output(content, argv, fixture_files, tmp_path):
+    policy = tmp_path / "policy.json"
+    policy.write_bytes(content)
+    proc = _run_opcheck([a.format(**fixture_files) for a in argv], policy)
+    _assert_usage_error(proc)
+    assert proc.stdout == ""
+    assert "bad policy file" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 """Tests for index detection, the core-nilpotent decomposition, and block
 views, including an independent eigendecomposition oracle for uniqueness."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opcheck import drazin as dz
 from opcheck import matcore as mc
@@ -51,6 +55,101 @@ class TestIndex:
             n = random_nilpotent(5, q, rng)
             u = random_unitary(5, rng)
             assert dz.index_of(u @ n @ mc.adjoint(u), P) == q
+
+
+def _reference_index(a, policy):
+    """The index search with the floor atol * base**k in closed form, and
+    formed in log space when base**k alone overflows; "ill" where a power
+    overflows. A test oracle for the running-product floor of index_of."""
+    n = a.shape[0]
+    ak, rank_k, base = np.eye(n, dtype=complex), n, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            nxt = ak @ a
+            if not np.isfinite(nxt).all():
+                return "ill"
+            s = np.linalg.svd(nxt, compute_uv=False)
+            if k == 0:
+                base = max(1.0, float(s[0]))
+            try:
+                floor = policy.atol * base ** (k + 1)
+            except OverflowError:
+                try:
+                    floor = policy.atol and math.exp(
+                        math.log(policy.atol) + (k + 1) * math.log(base)
+                    )
+                except OverflowError:
+                    floor = math.inf
+            r = int(np.count_nonzero(s > max(policy.rank_rtol * s[0], floor))) if s[0] else 0
+            if r == rank_k:
+                return k
+            ak, rank_k = nxt, r
+    return n
+
+
+@st.composite
+def _scaled_operators(draw):
+    """c * M for c = 2^k, |k| up to about 500, and M of size n <= 6: a Jordan
+    block, a nilpotent, an invertible core (+) a nilpotent, or an oblique
+    pair [[1, t], [0, 0]] (+) a nilpotent, whose norm t far exceeds its
+    spectral radius 1. One draw in two is conjugated by a unitary, and three
+    in four take k at the edge of the floor's overflow."""
+    n = draw(st.integers(1, 6))
+    rng = rng_for(draw(st.integers(0, 2**16)), n)
+    shape = draw(st.sampled_from(["jordan", "nilpotent", "core", "oblique"]))
+    if shape == "jordan":
+        m = np.eye(n, k=1, dtype=complex)
+    elif shape == "nilpotent":
+        m = random_nilpotent(n, draw(st.integers(1, n)), rng)
+    else:
+        r = min(2, n) if shape == "oblique" else draw(st.integers(1, n))
+        core = (
+            np.array([[1, 2.0 ** draw(st.integers(0, 32))], [0, 0]], dtype=complex)[:r, :r]
+            if shape == "oblique"
+            else random_invertible(r, rng)
+        )
+        q = draw(st.integers(1, max(n - r, 1)))
+        m = mc.block_diag(core, random_nilpotent(n - r, q, rng))
+    if draw(st.booleans()):
+        u = random_unitary(n, rng)
+        m = u @ m @ mc.adjoint(u)
+    norm = float(np.linalg.norm(m, 2))
+    if norm and draw(st.integers(0, 3)):
+        # ||cM||^j from just below 2^1024 to 2^1069 for some power j, so that
+        # the closed form base**j overflows while atol * base**j may not
+        j = draw(st.integers(2, max(n, 2)))
+        k = round((1024 + draw(st.integers(-4, 36))) / j - math.log2(norm))
+    else:
+        k = draw(st.integers(-500, 500))
+    return 2.0**k * m
+
+
+def _conjugated_nilpotent(n, q, seed):
+    rng = rng_for(seed, n)
+    m = random_nilpotent(n, q, rng)
+    u = random_unitary(n, rng)
+    return u @ m @ mc.adjoint(u)
+
+
+class TestIndexFloor:
+    @settings(max_examples=400, deadline=None)
+    @given(a=_scaled_operators(), atol=st.sampled_from([0.0, P.atol, 1e-4]))
+    # ||A||^2 overflows: only the log space form of the floor is finite, and
+    # gives index 1
+    @example(a=np.array([[1e150, 1e157], [0, 0]], dtype=complex), atol=P.atol)
+    # ||A||^4 overflows, and so does atol * ||A||^4 unless atol is 0
+    @example(a=1e100 * np.eye(4, k=1, dtype=complex), atol=P.atol)
+    @example(a=1e100 * np.eye(4, k=1, dtype=complex), atol=0.0)
+    # A^3 is rounding dirt and ||A||^3 overflows: only a floor formed from
+    # atol > 0 gives that power rank 0, and the index 2
+    @example(a=2.0**342 * _conjugated_nilpotent(3, 2, 0), atol=P.atol)
+    def test_running_product_floor_matches_closed_form(self, a, atol):
+        policy = mc.NumericPolicy(atol=atol)
+        try:
+            got = dz.index_of(a, policy)
+        except IllConditioned:
+            got = "ill"
+        assert got == _reference_index(a, policy)
 
 
 class TestDecomposition:

@@ -188,6 +188,14 @@ class TestPolicy:
         with pytest.raises(ValueError):
             mc.NumericPolicy(cond_max=0.5)
 
+    @pytest.mark.parametrize("field", ["atol", "rtol", "rank_rtol", "cond_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        # NaN slips past the sign checks, whose comparisons it fails, and an
+        # infinite tolerance or cutoff decides every zero test at once
+        with pytest.raises(ValueError, match=field):
+            mc.NumericPolicy(**{field: value})
+
 
 class TestJsonFormat:
     def test_roundtrip(self):
