@@ -91,11 +91,15 @@ def _load_policy() -> NumericPolicy:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        names = [f.name for f in dataclasses.fields(NumericPolicy)]
-        return NumericPolicy(**{k: float(doc[k]) for k in names if k in doc})
+        values = {f.name: doc[f.name] for f in dataclasses.fields(NumericPolicy) if f.name in doc}
+        for k, v in values.items():
+            # exact types: a bool is an int, and float() takes numeric strings
+            if type(v) not in (int, float):
+                raise TypeError(f"{k} must be a JSON number, got {json.dumps(v)}")
+        return NumericPolicy(**{k: float(v) for k, v in values.items()})
     # ValueError covers JSONDecodeError, UnicodeDecodeError and a non-finite
-    # field; OverflowError an integer beyond float range; RecursionError deep
-    # nesting
+    # field; TypeError a field that is not a number; OverflowError an integer
+    # beyond float range; RecursionError deep nesting
     except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad policy file {path}: {exc}") from exc
 
@@ -214,12 +218,7 @@ def cmd_example(args, policy: NumericPolicy) -> int:
     for name, mat in inst.matrices.items():
         save_matrix(outdir / f"{name}.json", mat)
     doc = inst.to_json()
-    doc["spec"] = {
-        "family": spec.family.value,
-        "dims": list(spec.dims),
-        "orders": list(spec.orders),
-        "seed": spec.seed,
-    }
+    doc["spec"] = dataclasses.asdict(spec)
     with open(outdir / "instance.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
     print(f"family={spec.family.value} seed={spec.seed} -> {outdir}/")

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 
 import numpy as np
@@ -311,13 +311,8 @@ class ClassificationResult:
     thresholds: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {
-            "member": self.member,
-            "minimal_order": self.minimal_order,
-            "bound": self.bound,
-            "residuals": list(self.residuals),
-            "thresholds": list(self.thresholds),
-        }
+        # shallow: it runs on every classify call, and asdict would deep-copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def minimal_order(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSquare, ParseError, Singular
+from .errors import DimensionMismatch, IllConditioned, NotSquare, ParseError, Singular
 
 __all__ = [
     "NumericPolicy",
@@ -124,9 +124,13 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
 
 def _spectral_rank(s: np.ndarray, rtol: float, floor: float = 0.0) -> int:
     """Rank from descending singular values: the number above
-    ``max(rtol * s[0], floor)``, and 0 for an empty or zero spectrum."""
+    ``max(rtol * s[0], floor)``, and 0 for an empty or zero spectrum. A
+    largest singular value that overflows leaves no cutoff and raises
+    IllConditioned."""
     if s.size == 0 or s[0] == 0.0:
         return 0
+    if not math.isfinite(s[0]):
+        raise IllConditioned("the largest singular value overflows")
     return int(np.count_nonzero(s > max(rtol * s[0], floor)))
 
 

@@ -122,13 +122,9 @@ class TrialFailure:
     detail: dict
 
     def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "clause": self.clause,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "detail": {k: repr(v) for k, v in self.detail.items()},
-        }
+        doc = dataclasses.asdict(self)
+        doc["detail"] = {k: repr(v) for k, v in self.detail.items()}
+        return doc
 
 
 @dataclass
@@ -150,20 +146,10 @@ class SuiteReport:
         return "pass" if not self.failures else "fail"
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "config": self.config.to_json(),
-            "trials": self.trials,
-            "passes": self.passes,
-            "skips": self.skips,
-            "generation_failures": self.generation_failures,
-            "failures": [f.to_json() for f in self.failures],
-            "max_residual": self.max_residual,
-            "max_ratio": self.max_ratio,
-            "anomalies": self.anomalies,
-            "generation_errors": self.generation_errors,
-            "verdict": self.verdict,
-        }
+        doc = dataclasses.asdict(self)
+        doc["failures"] = [f.to_json() for f in self.failures]
+        doc["verdict"] = self.verdict
+        return doc
 
 
 class _Skip(Exception):

@@ -2,6 +2,7 @@
 0 success/pass, 1 usage/parse error, 2 numerical failure, 3 verdict fail."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from opcheck import matcore as mc
 from opcheck.cli import main
 from opcheck.drazin import index_of
 from opcheck.errors import IllConditioned
-from opcheck.generators import Family
-from opcheck.suites import SuiteReport, TrialFailure, available_suites
+from opcheck.generators import Family, InstanceSpec
+from opcheck.kernels import ClassificationResult
+from opcheck.suites import SuiteConfig, SuiteReport, TrialFailure, available_suites
 
 
 @pytest.fixture
@@ -335,6 +338,48 @@ def test_verify_prints_one_line_per_suite_into_a_pipe():
     assert [line.split()[0] for line in lines] == list(available_suites())
 
 
+def test_failing_report_through_the_cli_is_strict_json(tmp_path):
+    # no residual meets a zero absolute and a sub-epsilon relative tolerance,
+    # so most suites fail and the report serialises their failures
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"rtol": 1e-17, "atol": 0}')
+    report = tmp_path / "r.json"
+    proc = _run_opcheck(["verify", "--suite", "all", "--trials", "30", "--seed", "2",
+                         "--report", str(report)], policy)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    docs = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert [d["suite"] for d in docs] == list(available_suites())
+    failures = [f for d in docs for f in d["failures"]]
+    assert failures
+    assert all(d["verdict"] == ("fail" if d["failures"] else "pass") for d in docs)
+    for f in failures:
+        assert f["clause"] and f["residual"] > f["threshold"], f
+        assert f["detail"] and all(isinstance(v, str) for v in f["detail"].values()), f
+
+
+def test_documents_take_their_keys_from_the_dataclass_fields(fixture_files, tmp_path, capsys):
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    failure = TrialFailure(0, "synthetic", 1.0, 0.5, {"n": 3, "s": "x"})
+    rep = SuiteReport(suite="thm1", config=SuiteConfig("thm1"), trials=1, passes=0, skips=0,
+                      generation_failures=0, failures=[failure])
+    doc = rep.to_json()
+    assert list(doc) == names(SuiteReport) + ["verdict"]
+    assert list(doc["failures"][0]) == names(TrialFailure)
+    assert doc["failures"][0]["detail"] == {"n": "3", "s": "'x'"}
+    assert main(["classify", fixture_files["jordan"], "--transform", "delta", "--pair",
+                 "adjoint", "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == names(ClassificationResult)
+    out = tmp_path / "ex"
+    assert main(["example", "--family", "drazin-block", "--dims", "2,1", "--orders", "1",
+                 "--seed", "4", "--out", str(out)]) == 0
+    spec = json.loads((out / "instance.json").read_text())["spec"]
+    assert list(spec) == names(InstanceSpec)
+    assert spec == {"family": "drazin-block", "dims": [2, 1], "orders": [1], "seed": 4}
+
+
 def _assert_usage_error(proc):
     assert proc.returncode == 1, proc.stderr
     assert "opcheck: error:" in proc.stderr
@@ -376,9 +421,16 @@ _CLASSIFY_JORDAN = ["classify", "{jordan}", "--transform", "delta", "--pair", "a
         (b'{"cond_max": -Infinity}', ["drazin", "{jordan}"]),
         (b'{"atol": 1' + b"0" * 400 + b"}", ["drazin", "{jordan}"]),
         (b"[" * 100_000, ["drazin", "{jordan}"]),
+        # accepted by float(), these ran with atol = 1.0, 0.0 and 1e-3
+        (b'{"atol": true}', _CLASSIFY_JORDAN),
+        (b'{"atol": false}', _CLASSIFY_JORDAN),
+        (b'{"atol": "1e-3"}', _CLASSIFY_JORDAN),
+        (b'{"rtol": null}', ["drazin", "{jordan}"]),
+        (b'{"rank_rtol": [1]}', ["drazin", "{jordan}"]),
     ],
     ids=["rtol-nan", "atol-inf", "rank-rtol-nan", "cond-max-neg-inf", "400-digit-integer",
-         "deep-nesting"],
+         "deep-nesting", "atol-true", "atol-false", "atol-numeric-string", "rtol-null",
+         "rank-rtol-array"],
 )
 def test_bad_policy_file_is_usage_error_before_any_output(content, argv, fixture_files, tmp_path):
     policy = tmp_path / "policy.json"
@@ -433,6 +485,7 @@ def test_overflowing_kernel_is_numerical_failure(kind, tmp_path):
 
 
 _NAN_SQUARE = [[0, 0], [-1e200 - 1e200j, -1e300 - 1e300j]]
+_SIGMA_OVERFLOW = [[0, 1.5e308, 1.5e308], [0, 0, 0], [0, 0, 0]]
 
 
 @pytest.mark.parametrize(
@@ -449,9 +502,14 @@ _NAN_SQUARE = [[0, 0], [-1e200 - 1e200j, -1e300 - 1e300j]]
         # the thresholds stay finite, but the scan's order-2 defect overflows
         ([[1e155, 1e155], [0, 1e155]], ["classify", "--transform", "delta", "--pair", "drazin",
                                         "--json"]),
+        # finite entries whose largest singular value overflows; drazin gave
+        # index 1 and a zero Drazin inverse with exit 0, where the index is 2
+        (_SIGMA_OVERFLOW, ["drazin", "--json"]),
+        (_SIGMA_OVERFLOW, ["classify", "--transform", "delta", "--pair", "drazin"]),
     ],
     ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular",
-         "drazin-nan-square", "classify-nan-square", "classify-scan-1e155"],
+         "drazin-nan-square", "classify-nan-square", "classify-scan-1e155",
+         "drazin-sigma-overflow", "classify-sigma-overflow"],
 )
 def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
     # finite entries whose defect scale, defect or power of A overflows
@@ -617,3 +675,38 @@ def test_fuzzed_example_ends_with_a_documented_exit_code(family, data, seed):
         argv = ["example", "--family", family, "--dims", ",".join(map(str, dims)),
                 "--orders", ",".join(map(str, orders)), "--seed", str(seed), "--out", tmp]
         assert _run_main(argv)[0] in (0, 1, 2, 3)
+
+
+_POLICY_FIELDS = [f.name for f in dataclasses.fields(mc.NumericPolicy)]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["1e-3", "0", "NaN"]),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=3,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.dictionaries(st.sampled_from(_POLICY_FIELDS + ["unknown"]), _JSON_VALUES))
+@example(doc={"atol": True})
+@example(doc={"rtol": "1e-3"})
+def test_fuzzed_policy_file_is_taken_only_when_every_field_is_a_number(doc):
+    fields = {k: v for k, v in doc.items() if k in _POLICY_FIELDS}
+    try:
+        # a JSON number is an int or a float; bool is a subclass of int
+        if not all(type(v) in (int, float) for v in fields.values()):
+            raise TypeError
+        mc.NumericPolicy(**{k: float(v) for k, v in fields.items()})
+        expected = 0
+    except (TypeError, ValueError, OverflowError):
+        expected = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix, policy = os.path.join(tmp, "a.json"), os.path.join(tmp, "policy.json")
+        mc.save_matrix(matrix, mc.eye(2))
+        with open(policy, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with mock.patch.dict(os.environ, {"OPCHECK_POLICY": policy}):
+            rc, out = _run_main(["drazin", matrix])
+    assert rc == expected
+    assert (out == "") == (rc == 1)

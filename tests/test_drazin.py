@@ -48,6 +48,14 @@ class TestIndex:
         with pytest.raises(ParseError):
             dz.core_nilpotent_decompose(a, P)
 
+    def test_overflowing_largest_singular_value_is_ill_conditioned(self):
+        # finite entries, but sigma_1 = 1.5e308 * sqrt(2) overflows: the
+        # cutoff was inf, and the index came out 1 where it is 2 (A^2 = 0)
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1:] = 1.5e308
+        with pytest.raises(IllConditioned):
+            dz.index_of(a, P)
+
     def test_conjugated_nilpotent_keeps_exact_index(self):
         # rounding dirt in powers of a rotated nilpotent must not inflate rank
         rng = rng_for(5, 2)
@@ -59,8 +67,9 @@ class TestIndex:
 
 def _reference_index(a, policy):
     """The index search with the floor atol * base**k in closed form, and
-    formed in log space when base**k alone overflows; "ill" where a power
-    overflows. A test oracle for the running-product floor of index_of."""
+    formed in log space when base**k alone overflows; "ill" where a power or
+    its largest singular value overflows. A test oracle for the
+    running-product floor of index_of."""
     n = a.shape[0]
     ak, rank_k, base = np.eye(n, dtype=complex), n, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -69,6 +78,8 @@ def _reference_index(a, policy):
             if not np.isfinite(nxt).all():
                 return "ill"
             s = np.linalg.svd(nxt, compute_uv=False)
+            if not math.isfinite(s[0]):
+                return "ill"
             if k == 0:
                 base = max(1.0, float(s[0]))
             try:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcheck import matcore as mc
-from opcheck.errors import DimensionMismatch, NotSquare, ParseError, Singular
+from opcheck.errors import DimensionMismatch, IllConditioned, NotSquare, ParseError, Singular
 
 P = mc.DEFAULT_POLICY
 
@@ -89,6 +89,13 @@ class TestRankAndBases:
 
     def test_rank_e12(self):
         assert mc.rank(E12, P) == 1
+
+    def test_rank_with_overflowing_largest_singular_value_is_ill_conditioned(self):
+        # every entry finite, sigma_1 = inf: it gave rank 0 for a nonzero matrix
+        a = np.zeros((3, 3), dtype=complex)
+        a[0, 1:] = 1.5e308
+        with pytest.raises(IllConditioned):
+            mc.rank(a, P)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7), st.integers(0, 3))
