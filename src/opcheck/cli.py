@@ -119,10 +119,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def cmd_drazin(args, policy: NumericPolicy) -> int:
+def _load_square(args) -> np.ndarray:
     a = load_matrix(args.matrix)
     if a.shape[0] != a.shape[1]:
-        raise ParseError(f"drazin needs a square matrix, got {a.shape}")
+        raise ParseError(f"{args.command} needs a square matrix, got {a.shape}")
+    return a
+
+
+def cmd_drazin(args, policy: NumericPolicy) -> int:
+    a = _load_square(args)
     dd = core_nilpotent_decompose(a, policy)
     if args.json:
         print(json.dumps(dd.to_json(a), indent=2))
@@ -139,9 +144,7 @@ def cmd_drazin(args, policy: NumericPolicy) -> int:
 
 
 def cmd_classify(args, policy: NumericPolicy) -> int:
-    a = load_matrix(args.matrix)
-    if a.shape[0] != a.shape[1]:
-        raise ParseError(f"classify needs a square matrix, got {a.shape}")
+    a = _load_square(args)
     x = load_matrix(args.weight) if args.weight else eye(a.shape[0])
     if args.max_order < 1:
         raise InvalidOrder(f"bound must be >= 1, got {args.max_order}")
@@ -163,9 +166,7 @@ def cmd_classify(args, policy: NumericPolicy) -> int:
 
 
 def cmd_kernel(args, policy: NumericPolicy) -> int:
-    a = load_matrix(args.matrix)
-    if a.shape[0] != a.shape[1]:
-        raise ParseError(f"kernel needs a square matrix, got {a.shape}")
+    a = _load_square(args)
     if args.order < 1:
         raise InvalidOrder(f"order must be >= 1, got {args.order}")
     kind = TransformKind(args.transform)
@@ -183,17 +184,10 @@ def cmd_kernel(args, policy: NumericPolicy) -> int:
     basis = kernel(kind, b, a, args.order, policy, dd)
     doc = basis.to_json()
     if sel.needs_drazin:
-        doc["block_norms"] = []
-        for x in basis.basis:
-            bv = block_view(x, dd)
-            doc["block_norms"].append(
-                {
-                    "x11": frob(bv.x11),
-                    "x12": frob(bv.x12),
-                    "x21": frob(bv.x21),
-                    "x22": frob(bv.x22),
-                }
-            )
+        doc["block_norms"] = [
+            {f.name: frob(getattr(bv, f.name)) for f in dataclasses.fields(bv)}
+            for bv in (block_view(x, dd) for x in basis.basis)
+        ]
     # unindented, so the C encoder writes it
     text = json.dumps(doc)
     if args.out:

@@ -28,7 +28,6 @@ from .matcore import (
     condition,
     frob,
     matrix_to_json,
-    one_norm,
     power,
     rank,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "drazin_inverse",
     "block_view",
     "resolve_pair",
-    "axiom_residuals",
     "axiom_threshold",
 ]
 
@@ -84,21 +82,6 @@ def index_of(a: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     return _index_power(_require_square(as_matrix(a)), policy)[0]
 
 
-def axiom_residuals(a: np.ndarray, a_d: np.ndarray, p: int) -> tuple[float, float, float]:
-    """Frobenius residuals of the three defining identities of A_d.
-
-    Returned in the order: commutation [A_d, A], A_d^2 A = A_d,
-    A^(p+1) A_d = A^p.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    a_d = np.asarray(a_d, dtype=np.complex128)
-    r1 = frob(a_d @ a - a @ a_d)
-    r2 = frob(a_d @ a_d @ a - a_d)
-    ap = power(a, p)
-    r3 = frob(ap @ a @ a_d - ap)
-    return r1, r2, r3
-
-
 @dataclass(frozen=True, eq=False)
 class DrazinData:
     """Core-nilpotent decomposition of one operator.
@@ -126,24 +109,31 @@ class DrazinData:
         return self.dim_h1 + self.dim_h2
 
     def residuals_for(self, a: np.ndarray) -> tuple[float, float, float]:
-        return axiom_residuals(a, self.a_d, self.p)
+        """Frobenius residuals of the three defining identities of A_d, in
+        the order: commutation [A_d, A], A_d^2 A = A_d, A^(p+1) A_d = A^p.
+        A residual that overflows raises IllConditioned."""
+        a = np.asarray(a, dtype=np.complex128)
+        a_d = self.a_d
+        ap = power(a, self.p)
+        res = (
+            frob(a_d @ a - a @ a_d),
+            frob(a_d @ a_d @ a - a_d),
+            frob(ap @ a @ a_d - ap),
+        )
+        if not np.isfinite(res).all():
+            raise IllConditioned("the axiom residuals of A_d overflow")
+        return res
 
-    def to_json(self, a: np.ndarray | None = None) -> dict:
-        doc = {
+    def to_json(self, a: np.ndarray) -> dict:
+        r1, r2, r3 = self.residuals_for(a)
+        return {
             "index": self.p,
             "dim_core": self.dim_h1,
             "dim_nil": self.dim_h2,
             "core_basis_condition": self.cond_s,
             "drazin_inverse": matrix_to_json(self.a_d),
+            "axiom_residuals": {"commutation": r1, "inner_inverse": r2, "index_power": r3},
         }
-        if a is not None:
-            r1, r2, r3 = self.residuals_for(a)
-            doc["axiom_residuals"] = {
-                "commutation": r1,
-                "inner_inverse": r2,
-                "index_power": r3,
-            }
-        return doc
 
 
 def core_nilpotent_decompose(
@@ -258,4 +248,4 @@ def resolve_pair(
 
 def axiom_threshold(a: np.ndarray, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     """Shared tolerance for the three axiom residuals: scales like ||A||_1^(p+2)."""
-    return policy.zero_threshold(max(1.0, one_norm(a)) ** (p + 2))
+    return policy.zero_threshold(max(1.0, float(np.linalg.norm(a, 1))) ** (p + 2))

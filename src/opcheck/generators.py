@@ -105,14 +105,17 @@ def _commutator(name: str, p: np.ndarray, q: np.ndarray, policy: NumericPolicy):
     )
 
 
-def _with_retries(build, retries: int = 8):
+_RETRIES = 8
+
+
+def _with_retries(build):
     last = None
-    for _ in range(retries):
+    for _ in range(_RETRIES):
         try:
             return build()
         except _CertFailure as exc:
             last = exc
-    raise GenerationFailed(f"certification failed after {retries} attempts ({last})")
+    raise GenerationFailed(f"certification failed after {_RETRIES} attempts ({last})")
 
 
 class Family(str, Enum):

@@ -56,7 +56,6 @@ from .matcore import (
     adjoint,
     frob,
     matrix_to_json,
-    unvectorize,
 )
 from .transforms import TransformKind, _operands, _step, defect, defect_growth, defect_threshold
 
@@ -72,6 +71,8 @@ __all__ = [
 def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
     """Matrix of Y -> transform(B, A, Y, m) for square B (p x p) and A
     (q x q) acting on column-stacked p x q weights Y."""
+    if m > 1029:  # C(m, m // 2) is beyond the double range from m = 1030 on
+        raise IllConditioned(f"the order-{m} binomial coefficients overflow")
     ap = [np.eye(a.shape[0], dtype=np.complex128)]
     bp = [np.eye(b.shape[0], dtype=np.complex128)]
     for _ in range(m):
@@ -239,7 +240,8 @@ def kernel(
     discarded value, which is often rounding noise, so its digits carry no
     meaning beyond its magnitude. Non-finite operands raise ParseError; a
     block map or zero floor that overflows raises IllConditioned, before any
-    SVD (after numpy's overflow warnings, if those are on).
+    SVD (after numpy's overflow warnings, if those are on), and so does an
+    order above 1029, whose binomial coefficients overflow.
     """
     kind = TransformKind(kind)
     b, a = _operands(m, b, a)
@@ -283,7 +285,7 @@ def kernel(
         rows = left.shape[1] if left is not None else n
         cols = right.shape[1] if right is not None else n
         for v in np.linalg.svd(tm, full_matrices=True)[2][keep:]:
-            y = unvectorize(v.conj(), rows, cols)
+            y = v.conj().reshape((rows, cols), order="F")
             basis.append(_normalize_phase(y if left is None else left @ y @ adjoint(right)))
     return KernelBasis(
         kind=kind, m=m, dim=dim, basis=basis, singular_values=sv, cutoff=cutoff, gap=gap

@@ -30,9 +30,7 @@ __all__ = [
     "power",
     "rank",
     "inverse",
-    "unvectorize",
     "frob",
-    "one_norm",
     "spectral_norm",
     "condition",
     "eye",
@@ -149,14 +147,6 @@ def inverse(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray
     return np.linalg.solve(m, np.eye(n, dtype=np.complex128))
 
 
-def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of column-major (column-stacking) vectorization."""
-    v = np.asarray(v).reshape(-1)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of length {v.size} is not {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
 def frob(m: np.ndarray) -> float:
     """Frobenius norm; a finite input whose squared entries overflow is
     rescaled by its largest entry modulus, so its norm stays finite where
@@ -169,12 +159,6 @@ def frob(m: np.ndarray) -> float:
         return norm
     big = float(np.max(np.abs(m)))
     return big * float(np.linalg.norm(m / big))
-
-
-def one_norm(m: np.ndarray) -> float:
-    """Maximum absolute column sum."""
-    m = np.asarray(m)
-    return float(np.linalg.norm(m, 1)) if m.size else 0.0
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -88,8 +88,10 @@ class TestDrazinCommand:
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_axiom_residuals_are_computed_once(self, fixture_files, flags, monkeypatch):
         calls = []
-        residuals = dz.axiom_residuals
-        monkeypatch.setattr(dz, "axiom_residuals", lambda *a: calls.append(1) or residuals(*a))
+        residuals = dz.DrazinData.residuals_for
+        monkeypatch.setattr(
+            dz.DrazinData, "residuals_for", lambda *a: calls.append(1) or residuals(*a)
+        )
         assert main(["drazin", fixture_files["drazin3"], *flags]) == 0
         assert len(calls) == 1
 
@@ -157,6 +159,7 @@ class TestKernelCommand:
         doc = json.loads(out.read_text())
         assert doc["dim"] == len(doc["block_norms"]) == len(doc["basis"])
         for rec in doc["block_norms"]:
+            assert list(rec) == ["x11", "x12", "x21", "x22"]
             assert rec["x12"] < 1e-7 and rec["x21"] < 1e-7 and rec["x22"] < 1e-7
 
     def test_out_file_matches_stdout_document(self, fixture_files, tmp_path, capsys):
@@ -506,10 +509,17 @@ _SIGMA_OVERFLOW = [[0, 1.5e308, 1.5e308], [0, 0, 0], [0, 0, 0]]
         # index 1 and a zero Drazin inverse with exit 0, where the index is 2
         (_SIGMA_OVERFLOW, ["drazin", "--json"]),
         (_SIGMA_OVERFLOW, ["classify", "--transform", "delta", "--pair", "drazin"]),
+        # the index search gives A^2 rank 0, and A^3 overflows in the
+        # residual of A^(p+1) A_d = A^p, which --json printed as NaN
+        ([[0, 1e-10j], [1e200, 0]], ["drazin", "--json"]),
+        # C(1030, 515) is beyond the double range, whatever the entries
+        ([[1, 0], [0, 1]], ["kernel", "--transform", "triangle", "--pair", "self",
+                            "--order", "1030"]),
     ],
     ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular",
          "drazin-nan-square", "classify-nan-square", "classify-scan-1e155",
-         "drazin-sigma-overflow", "classify-sigma-overflow"],
+         "drazin-sigma-overflow", "classify-sigma-overflow", "drazin-residual-overflow",
+         "kernel-order-1030"],
 )
 def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
     # finite entries whose defect scale, defect or power of A overflows
@@ -520,6 +530,16 @@ def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
     assert proc.stdout == ""
     assert "opcheck: numerical failure:" in proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_orders_with_overflowing_binomials_are_generation_errors(tmp_path):
+    report = tmp_path / "report.json"
+    proc = _run_opcheck(["verify", "--suite", "thm1", "--trials", "40", "--order-max", "1100",
+                         "--seed", "0", "--report", str(report)])
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert proc.stdout.startswith("thm1 ")
+    errors = json.loads(report.read_text())["generation_errors"]
+    assert any("binomial coefficients overflow" in e["error"] for e in errors)
 
 
 def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, capsys):

@@ -2,6 +2,7 @@
 predicates, and the minimal-order scan."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +153,35 @@ class TestKernel:
                 y /= mc.frob(y)
                 assert mc.frob(tf.triangle(b, a, y, m)) > thr
 
+    @pytest.mark.parametrize(
+        "kind, a", [(TK.DELTA, [2.0, 3.0, 5.0]), (TK.TRIANGLE, [0.5, 1 / 3, 7.0])],
+        ids=["delta", "triangle"],
+    )
+    def test_basis_is_column_stacked(self, kind, a):
+        # with B = diag(1, 2, 3) the kernel is spanned by E21 and E32, so no
+        # element is symmetric; a row-major reshape would give the
+        # transposes, which the transform does not annihilate
+        b, a = np.diag([1.0, 2.0, 3.0]).astype(complex), np.diag(a).astype(complex)
+        for m in (1, 2):
+            basis = kn.kernel(kind, b, a, m, P)
+            assert basis.dim == 2
+            thr = tf.defect_threshold(P, tf.defect_growth(b, a), m, 1.0)
+            for x in basis.basis:
+                assert mc.frob(x - x.T) > 1.0
+                assert mc.frob(tf.transform(kind, b, a, x, m)) <= thr
+
+    def test_order_with_overflowing_binomials_is_ill_conditioned(self):
+        # C(m, m // 2), the largest coefficient, leaves the double range at 1030
+        assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+        a = 0.9 * np.diag([1.0, -1.0]).astype(complex)
+        basis = kn.kernel(TK.DELTA, a, a, 1029, P)
+        # the diagonal weights, at a cutoff pinned to the last bit
+        assert basis.dim == 2 and basis.cutoff == 4.735957008012867e252
+        np.testing.assert_array_equal(basis.basis, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        for kind in TK:
+            with pytest.raises(IllConditioned, match="binomial coefficients overflow"):
+                kn.kernel(kind, a, a, 1030, P)
+
     def test_sample_is_in_kernel_and_deterministic(self):
         a = np.diag([2.0, 0.5]).astype(complex)
         basis = kn.kernel(TK.DELTA, a, a, 2, P)
@@ -274,7 +304,7 @@ def _reference_kernel(kind, b, a, m, dd=None):
         rows = left.shape[1] if left is not None else n
         cols = right.shape[1] if right is not None else n
         for v in vh[np.count_nonzero(s > cutoff):]:
-            y = mc.unvectorize(v.conj(), rows, cols)
+            y = v.conj().reshape((rows, cols), order="F")
             basis.append(kn._normalize_phase(y if left is None else left @ y @ mc.adjoint(right)))
     return sv.size - rank_, cutoff, basis, sv
 
@@ -353,7 +383,7 @@ class TestKernelSvds:
             u[t, np.arange(p * p)] += w.conj()
             assert np.abs(mc.adjoint(u) @ u - np.eye(p * p)).max() <= 4 * eps
             for col in u.T:
-                x = mc.unvectorize(col, p, p)
+                x = col.reshape((p, p), order="F")
                 assert np.array_equal(x, mc.adjoint(x))
             a = _cgauss(rng, p)
             for kind in TK:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcheck import matcore as mc
-from opcheck.errors import DimensionMismatch, IllConditioned, NotSquare, ParseError, Singular
+from opcheck.errors import IllConditioned, NotSquare, ParseError, Singular
 
 P = mc.DEFAULT_POLICY
 
@@ -164,22 +164,6 @@ class TestInverseEigen:
                 continue
             resid = mc.frob(m @ mc.inverse(m, P) - mc.eye(n))
             assert resid <= 10 * P.atol * mc.condition(m)
-
-
-class TestVectorize:
-    def test_column_major_order(self):
-        x = np.array([[1, 2], [3, 4]], dtype=complex)
-        np.testing.assert_array_equal(mc.unvectorize([1, 3, 2, 4], 2, 2), x)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
-    def test_roundtrip(self, seed, r, c):
-        x = _cgauss(_rng(seed), r, c)
-        np.testing.assert_array_equal(mc.unvectorize(x.reshape(-1, order="F"), r, c), x)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mc.unvectorize(np.zeros(5), 2, 3)
 
 
 class TestPolicy:
