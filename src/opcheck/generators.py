@@ -720,8 +720,8 @@ def make_disjoint_quadruple(
     dims: tuple[int, int, int, int] = (2, 1, 2, 1),
     qa: int = 1,
     qb: int = 1,
-    m: int | None = None,
-    n: int | None = None,
+    m: int,
+    n: int,
     conjugate: bool = True,
 ) -> GeneratedInstance:
     """Quadruple (A, B, X, Y) with AB = BA = 0 exactly plus the commuting
@@ -735,8 +735,6 @@ def make_disjoint_quadruple(
     n1a, nsa, n1b, nsb = dims
     if not 1 <= qa <= n1a or not 1 <= qb <= n1b:
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for core dims ({n1a},{n1b})")
-    m = m if m is not None else 2 * qa - 1
-    n = n if n is not None else 2 * qb - 1
     if flavor not in ("triangle-drazin", "triangle-adjoint"):
         raise ValueError(f"unknown flavor {flavor!r}")
     kind, sel = _WEIGHT_HYPOTHESIS[flavor]
@@ -794,7 +792,7 @@ def make_nilpotent_perturbation(
     na: int = 2,
     nb: int = 2,
     qa: int = 1,
-    m: int | None = None,
+    m: int,
     nil_placement: str = "disjoint",
     conjugate: bool = True,
 ) -> GeneratedInstance:
@@ -808,7 +806,6 @@ def make_nilpotent_perturbation(
     """
     if not 1 <= qa <= na:
         raise InvalidOrder(f"core order {qa} invalid for size {na}")
-    m = m if m is not None else 2 * qa - 1
     if flavor not in ("delta", "triangle"):
         raise ValueError(f"unknown flavor {flavor!r}")
     if nil_placement not in ("disjoint", "power"):
@@ -871,8 +868,8 @@ def make_product_pairs(
     nb: int = 2,
     qa: int = 1,
     qb: int = 1,
-    m1: int | None = None,
-    m2: int | None = None,
+    m1: int,
+    m2: int,
     conjugate: bool = True,
 ) -> GeneratedInstance:
     """Two pairs (B1, A1), (B2, A2) with weights X1, X2, active on disjoint
@@ -889,8 +886,6 @@ def make_product_pairs(
     for fam in families:
         if fam not in _PAIR_FAMILY:
             raise ValueError(f"unknown pair family {fam!r}")
-    m1 = m1 if m1 is not None else 2 * qa - 1
-    m2 = m2 if m2 is not None else 2 * qb - 1
 
     def one_pair(fam, size, q, order):
         if fam == "adjoint":

@@ -109,9 +109,6 @@ class SuiteConfig:
         if self.order_max < 1:
             raise InvalidOrder("order_max must be >= 1")
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class TrialFailure:
@@ -177,15 +174,12 @@ _SELECTORS = tuple(PairSelector)
 # ---------------------------------------------------------------------------
 
 
-def _draw_drazin_dims(rng, cfg, *, min_nil=0, min_core=0, min_p=0):
-    """Core/nil sizes and index within the configured budget."""
-    lo2 = max(min_nil, min_p)
-    n2 = _dim(rng, lo2, max(lo2, cfg.dim_max - max(min_core, 1)))
-    lo1 = max(min_core, 1 if n2 == 0 else 0)
-    n1 = _dim(rng, lo1, max(lo1, cfg.dim_max - n2))
-    if n2 == 0:
-        return n1, 0, 0
-    p = _dim(rng, max(1, min_p), max(max(1, min_p), min(n2, cfg.order_max)))
+def _draw_drazin_dims(rng, cfg, *, min_core=0):
+    """Core/nil sizes and index within the configured budget; the nilpotent
+    part and the index are at least 1."""
+    n2 = _dim(rng, 1, max(1, cfg.dim_max - max(min_core, 1)))
+    n1 = _dim(rng, min_core, max(min_core, cfg.dim_max - n2))
+    p = _dim(rng, 1, max(1, min(n2, cfg.order_max)))
     return n1, n2, p
 
 
@@ -214,7 +208,7 @@ def _trial_drazin_axioms(cfg, rng, extras, trial):
         inst = make_remark3_counterexample(rng, policy)
         a, dd, expected = inst.matrices["A"], inst.drazin["A"], 2
     elif kind in (0, 1, 2):
-        dims = _draw_drazin_dims(rng, cfg, min_core=int(kind == 2), min_nil=1, min_p=1)
+        dims = _draw_drazin_dims(rng, cfg, min_core=int(kind == 2))
         conjugate = bool(trial & 8) if kind == 1 else True
         spectrum = ("generic", "real", "selfadjoint")[kind]
         inst = make_drazin_block(*dims, rng, policy, conjugate=conjugate, spectrum=spectrum)
@@ -260,7 +254,7 @@ def _trial_prop1(cfg, rng, extras, trial):
     if flavor in (0, 1):
         tkind = TransformKind.TRIANGLE if flavor == 0 else TransformKind.DELTA
         sel = _SELECTORS[(trial // 4) % 4]
-        n1, n2, p = _draw_drazin_dims(rng, cfg, min_core=2, min_nil=1, min_p=1)
+        n1, n2, p = _draw_drazin_dims(rng, cfg, min_core=2)
         inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 16), spectrum="reciprocal")
         a = inst.matrices["A"]
         b = sel.partner(a, inst.drazin["A"].a_d)
@@ -504,7 +498,7 @@ def _trial_remark2(cfg, rng, extras, trial):
 def _trial_no_left_m_inv(cfg, rng, extras, trial):
     policy = cfg.policy
     spectrum = ("generic", "real", "unitary")[trial % 3]
-    n1, n2, p = _draw_drazin_dims(rng, cfg, min_nil=1, min_p=1)
+    n1, n2, p = _draw_drazin_dims(rng, cfg)
     inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 2), spectrum=spectrum)
     a, dd = inst.matrices["A"], inst.drazin["A"]
     m = _dim(rng, 1, cfg.order_max)
@@ -566,7 +560,7 @@ def _trial_remark3(cfg, rng, extras, trial):
     policy = cfg.policy
     if trial % 2 == 0:
         spectrum = "real" if trial & 2 else "reciprocal"
-        n1, n2, p = _draw_drazin_dims(rng, cfg, min_core=1, min_nil=1, min_p=1)
+        n1, n2, p = _draw_drazin_dims(rng, cfg, min_core=1)
         inst = make_drazin_block(n1, n2, p, rng, policy, conjugate=bool(trial & 4), spectrum=spectrum)
         a, dd = inst.matrices["A"], inst.drazin["A"]
         m = _dim(rng, 1, cfg.order_max)

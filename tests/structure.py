@@ -1,4 +1,5 @@
-"""Closed-form kernel dimensions for normal-plus-nilpotent operators.
+"""Closed-form kernel dimensions and minimal orders for normal-plus-nilpotent
+operators.
 
 Take A = V (+)_i (l_i I + N_i) V^* with V unitary and each N_i nilpotent
 with known Jordan block sizes, and B = A^*. In the coordinates
@@ -14,6 +15,14 @@ sizes a and b give blocks of sizes a + b - 1, a + b - 3, ..., |a - b| + 1
 (the sl_2 Clebsch-Gordan rule; Humphreys, *Introduction to Lie Algebras
 and Representation Theory*, 1972, section 7), and a nilpotent Jordan
 block of size s has a kernel of dimension min(m, s) under its m-th power.
+
+For X = I only the diagonal block pairs Y_ii carry a defect. L is
+invertible there unless l_i is real (delta) or unimodular (triangle); where
+it is singular, l_i I + N_i is a strict (2q_i - 1)-selfadjoint or
+-isometric block, q_i its largest Jordan block (Agler & Stankus,
+*m-Isometric transformations of Hilbert space I*, IEOT 21, 1995;
+Bermudez, Martinon & Noda, JMAA 407, 2013; Agler, Helton & Stankus,
+*Classification of hereditary matrices*, LAA 274, 1998).
 
 This module is test-only and uses numpy and the standard library only.
 """
@@ -93,3 +102,13 @@ def kernel_dim(kind: str, eigs, sizes, m: int) -> int:
         for a in bi
         for b in bj
     )
+
+
+def minimal_order(kind: str, eigs, sizes):
+    """Exact minimal order m at which the order-m transform of (A^*, A)
+    vanishes on X = I, for the A that ``build`` makes: 2q - 1 with q the
+    largest Jordan block, or None when some eigenvalue leaves L invertible
+    on its own diagonal block (a non-real one, for delta)."""
+    if not all(_singular(kind, lam, lam) for lam in eigs):
+        return None
+    return 2 * max(max(blocks) for blocks in sizes) - 1

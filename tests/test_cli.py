@@ -445,18 +445,22 @@ def test_bad_policy_file_is_usage_error_before_any_output(content, argv, fixture
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, message",
     [
-        b'{"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]}\xff',
-        b"[" * 100_000,
-        b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 400 + b', 0]]]}',
+        (b'{"rows": 1, "cols": 1, "data": [[[1.0, 0.0]]]}\xff', "cannot read matrix file"),
+        (b"[" * 100_000, "cannot read matrix file"),
+        (b'{"rows": 1, "cols": 1, "data": [[[' + b"9" * 400 + b', 0]]]}', "beyond the double range"),
+        (b'{"rows": 1, "cols": 1, "data": [[["a", 0]]]}', "matrix entries must hold numbers"),
+        (b'{"rows": 1, "cols": 1}', "missing matrix field"),
     ],
-    ids=["non-utf8", "deep-nesting", "400-digit-integer"],
+    ids=["non-utf8", "deep-nesting", "400-digit-integer", "string-entry", "no-data"],
 )
-def test_malformed_matrix_file_is_usage_error(content, tmp_path):
+def test_malformed_matrix_file_is_usage_error(content, message, tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    _assert_usage_error(_run_opcheck(["drazin", str(path)]))
+    proc = _run_opcheck(["drazin", str(path)])
+    _assert_usage_error(proc)
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize(

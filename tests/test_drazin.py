@@ -56,6 +56,16 @@ class TestIndex:
         with pytest.raises(IllConditioned):
             dz.index_of(a, P)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 5: the power floor atol * max(1, |A|)^k is not scale "
+        "invariant, so A^2 falls under it; opcheck drazin exits 0 with a zero inverse",
+    )
+    def test_invertible_with_huge_and_tiny_entries_has_index_zero(self):
+        a = np.array([[0, 1e-10], [1e100, 0]], dtype=complex)  # det -1e90
+        assert dz.index_of(a, P) == 0
+
     def test_conjugated_nilpotent_keeps_exact_index(self):
         # rounding dirt in powers of a rotated nilpotent must not inflate rank
         rng = rng_for(5, 2)
@@ -194,6 +204,13 @@ class TestDecomposition:
             for r in dd.residuals_for(a):
                 assert r <= thr
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_axiom_residuals_are_ill_conditioned(self):
+        a = np.array([[0, 1e-10j], [1e200, 0]])
+        dd = dz.core_nilpotent_decompose(a, P)
+        with pytest.raises(IllConditioned):
+            dd.residuals_for(a)
+
     def test_uniqueness_against_eigendecomposition(self):
         # independent oracle: on a diagonalizable matrix the inverse is the
         # eigenbasis carry-over of (1/lambda on the support, 0 on the kernel)
@@ -305,3 +322,7 @@ class TestResolvePair:
     def test_accepts_string_values(self):
         out = dz.resolve_pair(FIXTURE, "drazin", P)
         np.testing.assert_allclose(out, np.diag([0.5, 0, 0]), atol=1e-12)
+
+    def test_drazin_partner_needs_the_drazin_inverse(self):
+        with pytest.raises(ValueError, match="needs the Drazin inverse"):
+            dz.PairSelector.DRAZIN.partner(FIXTURE)

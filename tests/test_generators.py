@@ -221,7 +221,8 @@ class TestQuadruples:
 
     def test_disjoint_quadruple_ab_zero(self):
         inst = make_disjoint_quadruple(
-            rng_for(3, 93), P, flavor="triangle-adjoint", dims=(2, 1, 2, 1), qa=2, qb=1
+            rng_for(3, 93), P, flavor="triangle-adjoint", dims=(2, 1, 2, 1), qa=2, qb=1,
+            m=3, n=1,
         )
         a, b = inst.matrices["A"], inst.matrices["B"]
         assert mc.frob(a @ b) <= 1e-10
@@ -229,7 +230,8 @@ class TestQuadruples:
 
     def test_disjoint_quadruple_hands_over_its_decomposition(self):
         inst = make_disjoint_quadruple(
-            rng_for(3, 95), P, flavor="triangle-drazin", dims=(2, 1, 2, 1), qa=2, qb=1
+            rng_for(3, 95), P, flavor="triangle-drazin", dims=(2, 1, 2, 1), qa=2, qb=1,
+            m=3, n=1,
         )
         a = inst.matrices["A"]
         np.testing.assert_array_equal(inst.drazin["A"].a_d, drazin_inverse(a, P))
@@ -238,17 +240,44 @@ class TestQuadruples:
     def test_nilpotent_perturbation_placements(self):
         for placement, qa in (("disjoint", 1), ("power", 3)):
             inst = make_nilpotent_perturbation(
-                rng_for(4, 94), P, flavor="delta", na=3, nb=2, qa=qa,
+                rng_for(4, 94), P, flavor="delta", na=3, nb=2, qa=qa, m=2 * qa - 1,
                 nil_placement=placement,
             )
             a, nmat = inst.matrices["A"], inst.matrices["N"]
             assert mc.frob(a @ nmat - nmat @ a) <= 1e-10
             assert mc.frob(mc.power(nmat, inst.meta["q"])) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: make_disjoint_quadruple(rng_for(0), P, qa=3, m=1, n=1), InvalidOrder),
+            (lambda: make_disjoint_quadruple(rng_for(0), P, flavor="delta", m=1, n=1), ValueError),
+            (lambda: make_nilpotent_perturbation(rng_for(0), P, qa=3, m=1), InvalidOrder),
+            (lambda: make_nilpotent_perturbation(rng_for(0), P, flavor="x", m=1), ValueError),
+            (lambda: make_nilpotent_perturbation(rng_for(0), P, m=1, nil_placement="x"),
+             ValueError),
+            (lambda: make_nilpotent_perturbation(rng_for(0), P, m=1, nil_placement="power"),
+             InvalidOrder),
+            (lambda: make_nilpotent_perturbation(rng_for(0), P, nb=0, m=1), InvalidOrder),
+            (lambda: make_product_pairs(rng_for(0), P, qa=3, m1=1, m2=1), InvalidOrder),
+            (lambda: make_product_pairs(rng_for(0), P, families=("adjoint", "x"), m1=1, m2=1),
+             ValueError),
+            (lambda: make_commuting_core_weight(rng_for(0), P, n1=1, n2=2, p=3, m=1),
+             InvalidOrder),
+        ],
+        ids=["disjoint-order", "disjoint-flavor", "perturbation-order", "perturbation-flavor",
+             "perturbation-placement", "perturbation-power-needs-nilpotent",
+             "perturbation-disjoint-needs-block", "pairs-order", "pairs-family",
+             "core-weight-index"],
+    )
+    def test_builder_rejects_bad_arguments(self, build, error):
+        with pytest.raises(error):
+            build()
+
     def test_product_pairs_families(self):
         for fams in (("adjoint", "adjoint"), ("inverse", "adjoint")):
             inst = make_product_pairs(
-                rng_for(5, 95), P, families=fams, na=2, nb=2, qa=2, qb=1
+                rng_for(5, 95), P, families=fams, na=2, nb=2, qa=2, qb=1, m1=3, m2=1
             )
             certs = dict(inst.certified)
             assert certs["defect_pair1"] <= 1e-8

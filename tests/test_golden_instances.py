@@ -52,15 +52,16 @@ CASES = {
         rng_for(2, 92), P, flavor="delta", dims=(2, 2, 1, 0), qa=2, qb=2, shared_weight=True
     ),
     "disjoint_triangle_adjoint": lambda: gen.make_disjoint_quadruple(
-        rng_for(3, 93), P, flavor="triangle-adjoint", dims=(2, 1, 2, 1), qa=2, qb=1
+        rng_for(3, 93), P, flavor="triangle-adjoint", dims=(2, 1, 2, 1), qa=2, qb=1, m=3, n=1
     ),
     "disjoint_triangle_drazin": lambda: gen.make_disjoint_quadruple(
-        rng_for(3, 95), P, flavor="triangle-drazin", dims=(2, 1, 2, 1), qa=2, qb=1
+        rng_for(3, 95), P, flavor="triangle-drazin", dims=(2, 1, 2, 1), qa=2, qb=1, m=3, n=1
     ),
     **{
         f"perturbation_{flavor}_{placement}": (
             lambda flavor=flavor, placement=placement, qa=qa: gen.make_nilpotent_perturbation(
-                rng_for(4, 94), P, flavor=flavor, na=3, nb=2, qa=qa, nil_placement=placement
+                rng_for(4, 94), P, flavor=flavor, na=3, nb=2, qa=qa, m=2 * qa - 1,
+                nil_placement=placement,
             )
         )
         for flavor in ("delta", "triangle")
@@ -69,7 +70,7 @@ CASES = {
     **{
         f"product_pairs_{f1}_{f2}": (
             lambda fams=(f1, f2): gen.make_product_pairs(
-                rng_for(5, 95), P, families=fams, na=2, nb=2, qa=2, qb=1
+                rng_for(5, 95), P, families=fams, na=2, nb=2, qa=2, qb=1, m1=3, m2=1
             )
         )
         for f1, f2 in (("adjoint", "adjoint"), ("inverse", "adjoint"), ("inverse", "inverse"))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcheck import matcore as mc
-from opcheck.errors import IllConditioned, NotSquare, ParseError, Singular
+from opcheck.errors import DimensionMismatch, IllConditioned, NotSquare, ParseError, Singular
 
 P = mc.DEFAULT_POLICY
 
@@ -65,6 +65,10 @@ class TestMatmulPower:
     def test_power_not_square(self):
         with pytest.raises(NotSquare):
             mc.power(np.ones((2, 3)), 2)
+
+    def test_power_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            mc.power(mc.eye(2), -1)
 
     def test_power_additivity(self):
         rng = _rng(7)
@@ -264,6 +268,12 @@ class TestJsonFormat:
     def test_as_matrix_rejects_inf(self):
         with pytest.raises(ParseError):
             mc.as_matrix([[np.inf, 0], [0, 1]])
+
+    def test_only_2d_arrays_are_matrices(self):
+        with pytest.raises(DimensionMismatch):
+            mc.as_matrix(np.zeros((2, 2, 2)))
+        with pytest.raises(DimensionMismatch):
+            mc.matrix_to_json(np.zeros(3))
 
     def test_json_is_plain_data(self):
         doc = mc.matrix_to_json(1j * mc.eye(2))

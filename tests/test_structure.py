@@ -1,5 +1,5 @@
-"""Kernel dimensions against the closed form of ``structure.py``: A is
-normal plus nilpotent, B = A^*, at unit scale."""
+"""Kernel dimensions and minimal orders against the closed forms of
+``structure.py``: A is normal plus nilpotent, B = A^*, at unit scale."""
 
 import numpy as np
 import pytest
@@ -20,15 +20,31 @@ def test_clebsch_gordan_rule_matches_integer_nullities(a, b):
         assert nullity == structure.pair_dim(a, b, m)
 
 
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("kind", list(TK), ids=[k.value for k in TK])
-def test_kernel_dims_match_the_closed_form(kind, seed):
+def _drawn(kind, seed):
     rng = np.random.default_rng(seed)
     eigs, sizes = structure.draw(kind.value, rng)
-    a = structure.build(eigs, sizes, rng)
+    return eigs, sizes, structure.build(eigs, sizes, rng)
+
+
+SEEDED_DRAWS = pytest.mark.parametrize("seed", range(12))
+KINDS = pytest.mark.parametrize("kind", list(TK), ids=[k.value for k in TK])
+
+
+@SEEDED_DRAWS
+@KINDS
+def test_kernel_dims_match_the_closed_form(kind, seed):
+    eigs, sizes, a = _drawn(kind, seed)
     for m in range(1, 5):
         got = kn.kernel(kind, a.conj().T, a, m).dim
         assert got == structure.kernel_dim(kind.value, eigs, sizes, m), (eigs, sizes, m)
+
+
+@SEEDED_DRAWS
+@KINDS
+def test_minimal_order_of_the_identity_matches_the_closed_form(kind, seed):
+    eigs, sizes, a = _drawn(kind, seed)
+    got = kn.minimal_order(kind, a.conj().T, a, np.eye(len(a)), 2 * structure.MAX_BLOCK)
+    assert got.minimal_order == structure.minimal_order(kind.value, eigs, sizes), (eigs, sizes)
 
 
 @pytest.mark.xfail(

@@ -44,6 +44,17 @@ def test_config_validation():
         SuiteConfig(suite="thm1", order_max=0)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 6: at orders near 1100 the binomial cancellation of the "
+    "kernel's L^m swamps its rank cut, and weight_block_structure fails",
+)
+def test_thm1_passes_at_high_orders():
+    rep = run_suite(SuiteConfig(suite="thm1", trials=4, order_max=1100, seed=0))
+    assert rep.passes == rep.trials, rep.to_json()["failures"]
+
+
 def test_skip_budget_fails_suite(monkeypatch):
     def always_skip(cfg, rng, extras, trial):
         raise su._Skip("synthetic")
@@ -131,7 +142,7 @@ def test_draw_coverage_spans_dims_and_orders():
     cfg = SuiteConfig(suite="thm1", trials=1, dim_max=8, order_max=4, seed=0)
     for t in range(300):
         rng = rng_for(0, 999, t)
-        n1, n2, p = su._draw_drazin_dims(rng, cfg, min_nil=1, min_p=1)
+        n1, n2, p = su._draw_drazin_dims(rng, cfg)
         dims_seen.add(n1 + n2)
         orders_seen.add(p)
     assert dims_seen.issuperset(range(2, 9))
