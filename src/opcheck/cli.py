@@ -211,8 +211,7 @@ def cmd_example(args, policy: NumericPolicy) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, mat in inst.matrices.items():
         save_matrix(outdir / f"{name}.json", mat)
-    doc = inst.to_json()
-    doc["spec"] = dataclasses.asdict(spec)
+    doc = {"family": spec.family.value, **inst.to_json(), "spec": dataclasses.asdict(spec)}
     with open(outdir / "instance.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
     print(f"family={spec.family.value} seed={spec.seed} -> {outdir}/")

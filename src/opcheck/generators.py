@@ -85,7 +85,6 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
 class _CertFailure(Exception):
     def __init__(self, bad):
         super().__init__(", ".join(f"{n}: {r:.3e} > {t:.3e}" for n, r, t in bad))
-        self.bad = bad
 
 
 def _certify(checks) -> list[tuple[str, float]]:
@@ -154,7 +153,6 @@ def _plain(value):
 
 @dataclass(eq=False)
 class GeneratedInstance:
-    family: Family
     matrices: dict
     certified: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
@@ -164,7 +162,6 @@ class GeneratedInstance:
 
     def to_json(self) -> dict:
         return {
-            "family": self.family.value,
             "meta": {k: _plain(v) for k, v in self.meta.items()},
             "certified": [
                 {"property": name, "residual": res} for name, res in self.certified
@@ -199,8 +196,6 @@ def _weight_scalar(rng: np.random.Generator) -> complex:
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian with phase fix)."""
-    if n == 0:
-        return zeros(0, 0)
     z = _cgauss(rng, n, n)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -243,8 +238,6 @@ def random_invertible(
       real        -- (non-normal) similarity conjugate of a distinct real diagonal
       reciprocal  -- like real, eigenvalues paired (t, 1/t) plus +-1 leftover
     """
-    if n == 0:
-        return zeros(0, 0)
     if spectrum == "generic":
         # Schur-style construction keeps eigenvalue moduli bounded away
         # from zero, so powers of the core never lose rank numerically.
@@ -283,8 +276,6 @@ def random_nilpotent(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
     """
     if q < 1 or q > max(n, 1):
         raise InvalidOrder(f"nilpotency order {q} invalid for size {n}")
-    if n == 0:
-        return zeros(0, 0)
     if q == 1:
         return zeros(n, n)
 
@@ -361,7 +352,7 @@ def make_drazin_block(
         dd = core_nilpotent_decompose(a, policy)
         checks = [
             ("index", abs(dd.p - p), 0.5),
-            ("core_condition", condition(a1) if n1 else 1.0, 100.0),
+            ("core_condition", condition(a1), 100.0),
         ]
         if n2:
             checks.append(("nil_order", frob(power(a2, p)), policy.zero_threshold(1.0)))
@@ -370,7 +361,6 @@ def make_drazin_block(
                 checks.append(("nil_order_sharp", shortfall, 0.0))
         certified = _certify(checks)
         return GeneratedInstance(
-            family=Family.DRAZIN_BLOCK,
             matrices={"A": a, "A1": a1, "A2": a2, "U": u},
             certified=certified,
             meta={"n1": n1, "n2": n2, "p": p, "spectrum": spectrum, "conjugate": conjugate},
@@ -406,8 +396,8 @@ def make_ab_zero_pair(
     h2a = (n2 - h2c + 1) // 2
     h2b = n2 - h2c - h2a
     qa = qa if qa is not None else min(2, h2a)
-    qb = qb if qb is not None else (min(2, h2b) if h2b else 1)
-    if not 1 <= qa <= max(h2a, 1):
+    qb = qb if qb is not None else min(2, h2b)
+    if not 1 <= qa <= h2a:
         raise InvalidOrder(f"qa={qa} invalid for block of size {h2a}")
     if h2b and not 1 <= qb <= h2b:
         raise InvalidOrder(f"qb={qb} invalid for block of size {h2b}")
@@ -416,14 +406,13 @@ def make_ab_zero_pair(
 
     def build():
         a1 = random_invertible(n1, rng, "real")
-        na = random_nilpotent(h2a, qa, rng) if h2a else zeros(0, 0)
-        nb = random_nilpotent(h2b, qb, rng) if h2b else zeros(0, 0)
-        mb = random_invertible(h2c, rng, "real") if h2c else zeros(0, 0)
+        na = random_nilpotent(h2a, qa, rng)
+        nb = random_nilpotent(h2b, qb, rng)
+        mb = random_invertible(h2c, rng, "real")
         a = block_diag(a1, na, zeros(h2b, h2b), zeros(h2c, h2c))
         b = block_diag(zeros(n1, n1), zeros(h2a, h2a), nb, mb)
         u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
         a_full, b_full = u @ a @ adjoint(u), u @ b @ adjoint(u)
-        expected_b_index = qb if h2b else 1
         dd_a = core_nilpotent_decompose(a_full, policy)
         dd_b = core_nilpotent_decompose(b_full, policy)
         certified = _certify(
@@ -432,11 +421,10 @@ def make_ab_zero_pair(
                 ("ba_product", frob(b_full @ a_full), policy.atol),
                 ("commutator", frob(a_full @ b_full - b_full @ a_full), policy.atol),
                 ("index_A", abs(dd_a.p - qa), 0.5),
-                ("index_B", abs(dd_b.p - expected_b_index), 0.5),
+                ("index_B", abs(dd_b.p - qb), 0.5),
             ]
         )
         return GeneratedInstance(
-            family=Family.AB_ZERO,
             matrices={
                 "A": a_full,
                 "B": b_full,
@@ -490,7 +478,6 @@ def make_scalar_plus_nilpotent(
             )
         certified = _certify(checks)
         return GeneratedInstance(
-            family=Family.SCALAR_PLUS_NILPOTENT,
             matrices={"A": a, "N": nil},
             certified=certified,
             meta={"n": n, "q": q, "s": complex(s), "order": m},
@@ -534,7 +521,6 @@ def make_remark3_counterexample(
             ]
         )
         return GeneratedInstance(
-            family=Family.REMARK3,
             matrices={"A": a, "X": x, "A1": a1, "X11": x11, "N": nil},
             certified=certified,
             meta={"n1": n1, "delta3": pos, "triangle3": neg},
@@ -587,7 +573,6 @@ def make_commuting_core_weight(
             ]
         )
         return GeneratedInstance(
-            family=Family.DRAZIN_BLOCK,
             matrices={"A": a, "X": x, "A1": a1, "X11": x11, "A2": a2, "U": u},
             certified=certified,
             meta={"n1": n1, "n2": n2, "p": p, "m": m},
@@ -694,7 +679,6 @@ def make_commuting_quadruple(
             checks.extend(_quadruple_commutator_checks(a, b, x, y, policy))
         certified = _certify(checks)
         return GeneratedInstance(
-            family=Family.HYPOTHESIS1,
             matrices={"A": a, "B": b, "X": x, "Y": y},
             certified=certified,
             meta={
@@ -766,7 +750,6 @@ def make_disjoint_quadruple(
         checks.extend(_quadruple_commutator_checks(a, b, x, y, policy))
         certified = _certify(checks)
         return GeneratedInstance(
-            family=Family.AB_ZERO,
             matrices={"A": a, "B": b, "X": x, "Y": y},
             certified=certified,
             meta={
@@ -823,7 +806,7 @@ def make_nilpotent_perturbation(
 
         kind = TransformKind(flavor)
         x_a = _kernel_sample_block(kind, adjoint(a_core), a_core, m, policy, rng)
-        x_b = _cgauss(rng, nb, nb) if nb else zeros(0, 0)
+        x_b = _cgauss(rng, nb, nb)
         x = block_diag(x_a, x_b)
 
         if nil_placement == "disjoint":
@@ -845,7 +828,6 @@ def make_nilpotent_perturbation(
             ]
         )
         return GeneratedInstance(
-            family=Family.SCALAR_PLUS_NILPOTENT,
             matrices={"A": a, "B": b, "X": x, "N": pert},
             certified=certified,
             meta={"flavor": flavor, "m": m, "q": q, "qa": qa, "placement": nil_placement},
@@ -925,7 +907,6 @@ def make_product_pairs(
             ]
         )
         return GeneratedInstance(
-            family=Family.HYPOTHESIS1,
             matrices={"A1": a1, "B1": b1, "X1": x1, "A2": a2, "B2": b2, "X2": x2},
             certified=certified,
             meta={"families": families, "m1": m1, "m2": m2, "qa": qa, "qb": qb},
@@ -964,7 +945,7 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
             u = random_unitary(spec.dims[0], rng)
             resid = frob(adjoint(u) @ u - eye(spec.dims[0]))
             certified = _certify([("unitarity", resid, 1e-12)])
-            return GeneratedInstance(fam, {"A": u}, certified, {"n": spec.dims[0]})
+            return GeneratedInstance({"A": u}, certified, {"n": spec.dims[0]})
 
         return _with_retries(build_unitary)
 
@@ -981,7 +962,7 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
                     ("index", abs(dd.p - (q if n else 0)), 0.5),
                 ]
             )
-            return GeneratedInstance(fam, {"A": nil}, certified, {"n": n, "q": q}, {"A": dd})
+            return GeneratedInstance({"A": nil}, certified, {"n": n, "q": q}, {"A": dd})
 
         return _with_retries(build_nilpotent)
 
@@ -991,7 +972,7 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
         def build_invertible():
             a = random_invertible(spec.dims[0], rng)
             certified = _certify([("condition", condition(a), 100.0)])
-            return GeneratedInstance(fam, {"A": a}, certified, {"n": spec.dims[0]})
+            return GeneratedInstance({"A": a}, certified, {"n": spec.dims[0]})
 
         return _with_retries(build_invertible)
 
@@ -1012,8 +993,11 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
         )
 
     if fam == Family.REMARK3:
-        if spec.orders:
-            raise InvalidOrder("remark3 takes no orders")
+        if len(spec.dims) > 1 or spec.orders:
+            raise InvalidOrder(
+                f"family {fam.value} takes 0 or 1 dims and 0 orders, "
+                f"got {len(spec.dims)} and {len(spec.orders)}"
+            )
         n1 = spec.dims[0] if spec.dims else 2
         return make_remark3_counterexample(rng, policy, n1=n1)
 

@@ -153,8 +153,6 @@ def _normalize_phase(x: np.ndarray) -> np.ndarray:
     flat = x.reshape(-1, order="F")
     k = int(np.argmax(np.abs(flat)))
     z = flat[k]
-    if abs(z) == 0.0:
-        return x
     return x * (abs(z) / z)
 
 

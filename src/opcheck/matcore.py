@@ -115,8 +115,6 @@ def power(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        return np.zeros(0)
     return np.linalg.svd(m, compute_uv=False)
 
 
@@ -140,8 +138,6 @@ def rank(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
 def inverse(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     m = _require_square(np.asarray(m, dtype=np.complex128))
     n = m.shape[0]
-    if n == 0:
-        return m.copy()
     if rank(m, policy) < n:
         raise Singular(f"matrix of shape {m.shape} is rank deficient under the policy")
     return np.linalg.solve(m, np.eye(n, dtype=np.complex128))
@@ -152,8 +148,6 @@ def frob(m: np.ndarray) -> float:
     rescaled by its largest entry modulus, so its norm stays finite where
     the norm itself is representable."""
     m = np.asarray(m)
-    if not m.size:
-        return 0.0
     norm = float(np.linalg.norm(m))
     if math.isfinite(norm) or not np.isfinite(m).all():
         return norm

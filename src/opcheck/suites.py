@@ -198,9 +198,7 @@ def _trial_drazin_axioms(cfg, rng, extras, trial):
         if pick == 0:
             a, dd, expected = inst.matrices["A"], inst.drazin["A"], inst.meta["qa"]
         elif pick == 1:
-            h2b = inst.meta["layout"][2]
-            a, dd = inst.matrices["B"], inst.drazin["B"]
-            expected = inst.meta["qb"] if h2b else 1
+            a, dd, expected = inst.matrices["B"], inst.drazin["B"], inst.meta["qb"]
         else:
             a = inst.matrices["A"] + inst.matrices["B"]
             expected = max(inst.meta["qa"], inst.meta["qb"])

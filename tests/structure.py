@@ -39,18 +39,20 @@ MAX_N = 8
 MAX_BLOCK = 4
 
 
-def draw(kind: str, rng: np.random.Generator) -> tuple[tuple, tuple]:
+def draw(
+    kind: str, rng: np.random.Generator, max_n: int = MAX_N, max_block: int = MAX_BLOCK
+) -> tuple[tuple, tuple]:
     """One to three distinct eigenvalues from ``PALETTE[kind]`` (unit
     modulus for triangle) and, per eigenvalue, one or two Jordan blocks of
-    sizes 1..MAX_BLOCK, at most MAX_N rows in all."""
+    sizes 1..max_block, at most max_n rows in all."""
     palette = PALETTE[kind]
     picks = rng.choice(len(palette), size=int(rng.integers(1, 4)), replace=False)
     eigs, sizes, n = [], [], 0
     for k in picks:
         blocks = []
         for _ in range(int(rng.integers(1, 3))):
-            s = int(rng.integers(1, MAX_BLOCK + 1))
-            if n + s <= MAX_N:
+            s = int(rng.integers(1, max_block + 1))
+            if n + s <= max_n:
                 blocks.append(s)
                 n += s
         if blocks:

@@ -200,6 +200,20 @@ class TestExampleCommand:
         a = mc.load_matrix(out / "A.json")
         assert index_of(a, mc.DEFAULT_POLICY) == 2
 
+    @pytest.mark.parametrize(
+        "family, dims, orders",
+        [("unitary", "4", ""), ("nilpotent", "4", "3"), ("invertible", "4", ""),
+         ("drazin-block", "3,2", "2"), ("ab-zero", "2,4", "2,1"),
+         ("hypothesis1", "2,2,1,1", "2,1"), ("remark3", "", ""),
+         ("scalar-plus-nilpotent", "4", "2")],
+    )
+    def test_instance_file_names_its_family(self, family, dims, orders, tmp_path, capsys):
+        assert main(["example", "--family", family, "--dims", dims, "--orders", orders,
+                     "--seed", "4", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "instance.json").read_text())
+        assert list(doc) == ["family", "meta", "certified", "matrices", "spec"]
+        assert doc["family"] == doc["spec"]["family"] == family
+
     def test_deterministic_output(self, tmp_path):
         outs = []
         for sub in ("one", "two"):

@@ -8,7 +8,7 @@ import opcheck.generators as gen
 from opcheck import matcore as mc
 from opcheck import transforms as tf
 from opcheck.drazin import core_nilpotent_decompose, drazin_inverse, index_of
-from opcheck.errors import InvalidOrder
+from opcheck.errors import GenerationFailed, InvalidOrder
 from opcheck.generators import (
     Family,
     GeneratedInstance,
@@ -113,6 +113,24 @@ class TestRandomInvertible:
     def test_unknown_spectrum(self):
         with pytest.raises(ValueError):
             random_invertible(3, rng_for(0, 36), "bogus")
+        with pytest.raises(ValueError):
+            random_invertible(0, rng_for(0, 36), "bogus")
+
+
+_SPECTRA = ("generic", "unitary", "signs", "selfadjoint", "real", "reciprocal")
+_EMPTY_DRAWS = {
+    "unitary": lambda rng: random_unitary(0, rng),
+    **{f"invertible-{s}": (lambda rng, s=s: random_invertible(0, rng, s)) for s in _SPECTRA},
+    "nilpotent": lambda rng: random_nilpotent(0, 1, rng),
+}
+
+
+@pytest.mark.parametrize("draw", _EMPTY_DRAWS.values(), ids=_EMPTY_DRAWS.keys())
+def test_empty_draw_is_a_0x0_matrix_and_consumes_nothing(draw):
+    rng = rng_for(0, 37)
+    out = draw(rng)
+    assert out.shape == (0, 0) and out.dtype == np.complex128
+    np.testing.assert_array_equal(rng.standard_normal(4), rng_for(0, 37).standard_normal(4))
 
 
 class TestDrazinBlock:
@@ -313,6 +331,48 @@ def test_builder_hands_over_the_decomposition_it_certified_with(build, name):
         np.testing.assert_array_equal(getattr(got, f), getattr(fresh, f), err_msg=f)
 
 
+def test_ab_zero_pair_without_a_b_nilpotent_certifies_index_one():
+    # n2 = 2 with an invertible tail leaves B's nilpotent block empty (h2b = 0)
+    inst = make_ab_zero_pair(1, 2, rng_for(0, 38), P, invertible_tail=True)
+    assert inst.meta["layout"][2] == 0 and inst.meta["qb"] == 1
+    assert dict(inst.certified)["index_B"] == 0.0
+    assert inst.drazin["B"].p == 1
+
+
+class TestRetries:
+    def _failing_certify(self, monkeypatch, fail_first):
+        calls = []
+        certify = gen._certify
+
+        def fake(checks):
+            calls.append(1)
+            if len(calls) <= fail_first:
+                raise gen._CertFailure([("forced", 1.0, 0.0)])
+            return certify(checks)
+
+        monkeypatch.setattr(gen, "_certify", fake)
+        return calls
+
+    def test_a_retry_continues_the_stream(self, monkeypatch):
+        rng = rng_for(3, 7)
+        make_drazin_block(3, 2, 2, rng, P, conjugate=True)
+        second = make_drazin_block(3, 2, 2, rng, P, conjugate=True)
+        calls = self._failing_certify(monkeypatch, 1)
+        retried = make_drazin_block(3, 2, 2, rng_for(3, 7), P, conjugate=True)
+        assert len(calls) == 2
+        for name, mat in second.matrices.items():
+            np.testing.assert_array_equal(retried.matrices[name], mat, err_msg=name)
+
+    def test_gives_up_after_eight_attempts(self, monkeypatch):
+        calls = self._failing_certify(monkeypatch, 99)
+        with pytest.raises(
+            GenerationFailed,
+            match=r"^certification failed after 8 attempts \(forced: 1\.000e\+00 > 0\.000e\+00\)$",
+        ):
+            make_drazin_block(3, 2, 2, rng_for(3, 7), P, conjugate=True)
+        assert len(calls) == 8
+
+
 class TestGenerateDispatch:
     @pytest.mark.parametrize(
         "spec",
@@ -334,7 +394,6 @@ class TestGenerateDispatch:
         assert isinstance(inst, GeneratedInstance)
         assert inst.matrices
         doc = inst.to_json()
-        assert doc["family"] == spec.family.value
         assert all("residual" in c for c in doc["certified"])
         json.dumps(doc)  # the whole document must be JSON-encodable
 
@@ -371,3 +430,7 @@ class TestGenerateDispatch:
             generate(InstanceSpec(Family.UNITARY, (3,), (1,), 0), P)
         with pytest.raises(InvalidOrder):
             generate(InstanceSpec(Family.DRAZIN_BLOCK, (2,), (1,), 0), P)
+        with pytest.raises(InvalidOrder, match="takes 0 or 1 dims and 0 orders, got 2 and 0"):
+            generate(InstanceSpec(Family.REMARK3, (2, 1), (), 0), P)
+        with pytest.raises(InvalidOrder, match="takes 0 or 1 dims and 0 orders, got 0 and 1"):
+            generate(InstanceSpec(Family.REMARK3, (), (1,), 0), P)

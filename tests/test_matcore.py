@@ -359,6 +359,14 @@ class TestJsonParseMatchesEntrywise:
         assert got.tobytes() == m.tobytes() == entrywise_matrix_from_json(doc).tobytes()
 
 
+def test_empty_matrix_contract():
+    # numpy's own results on a 0x0 matrix; the package adds no size-0 branch
+    z = mc.zeros(0, 0)
+    assert (mc.frob(z), mc.rank(z), mc.condition(z), mc.spectral_norm(z)) == (0.0, 0, 1.0, 0.0)
+    inv = mc.inverse(z)
+    assert inv.shape == (0, 0) and inv.dtype == np.complex128
+
+
 class TestBlockDiag:
     def test_empty_blocks(self):
         out = mc.block_diag(mc.zeros(0, 0), mc.eye(2), mc.zeros(0, 0))

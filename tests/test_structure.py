@@ -20,9 +20,9 @@ def test_clebsch_gordan_rule_matches_integer_nullities(a, b):
         assert nullity == structure.pair_dim(a, b, m)
 
 
-def _drawn(kind, seed):
+def _drawn(kind, seed, *limits):
     rng = np.random.default_rng(seed)
-    eigs, sizes = structure.draw(kind.value, rng)
+    eigs, sizes = structure.draw(kind.value, rng, *limits)
     return eigs, sizes, structure.build(eigs, sizes, rng)
 
 
@@ -44,6 +44,41 @@ def test_kernel_dims_match_the_closed_form(kind, seed):
 def test_minimal_order_of_the_identity_matches_the_closed_form(kind, seed):
     eigs, sizes, a = _drawn(kind, seed)
     got = kn.minimal_order(kind, a.conj().T, a, np.eye(len(a)), 2 * structure.MAX_BLOCK)
+    assert got.minimal_order == structure.minimal_order(kind.value, eigs, sizes), (eigs, sizes)
+
+
+# larger draws: n <= 16, Jordan blocks up to 6
+LARGE = (16, 6)
+
+
+@pytest.mark.parametrize("seed", range(1000, 1012))
+@KINDS
+def test_kernel_dims_match_the_closed_form_up_to_n16(kind, seed):
+    eigs, sizes, a = _drawn(kind, seed, *LARGE)
+    for m in range(1, 4):
+        got = kn.kernel(kind, a.conj().T, a, m).dim
+        assert got == structure.kernel_dim(kind.value, eigs, sizes, m), (eigs, sizes, m)
+
+
+_WRONG_ORDER_AT_N11 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the delta draw at seed 1008 (eigenvalues 1, 2; Jordan sizes "
+    "(2, 1), (2, 6); n = 11) passes at order 10 with residual 7.2 against threshold 51.9, "
+    "since the delta scale has degree 2m and the residual degree m; the exact order is 11",
+)
+
+
+def _large_order_case(kind, seed):
+    marks = _WRONG_ORDER_AT_N11 if (kind, seed) == (TK.DELTA, 1008) else ()
+    return pytest.param(kind, seed, marks=marks, id=f"{kind.value}-{seed}")
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [_large_order_case(kind, seed) for kind in TK for seed in range(1000, 1012)]
+)
+def test_minimal_order_of_the_identity_matches_the_closed_form_up_to_n16(kind, seed):
+    eigs, sizes, a = _drawn(kind, seed, *LARGE)
+    got = kn.minimal_order(kind, a.conj().T, a, np.eye(len(a)), 2 * LARGE[1])
     assert got.minimal_order == structure.minimal_order(kind.value, eigs, sizes), (eigs, sizes)
 
 
