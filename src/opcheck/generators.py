@@ -396,13 +396,12 @@ def make_ab_zero_pair(
     h2a = (n2 - h2c + 1) // 2
     h2b = n2 - h2c - h2a
     qa = qa if qa is not None else min(2, h2a)
-    qb = qb if qb is not None else min(2, h2b)
+    qb = qb if qb is not None else max(1, min(2, h2b))
     if not 1 <= qa <= h2a:
         raise InvalidOrder(f"qa={qa} invalid for block of size {h2a}")
-    if h2b and not 1 <= qb <= h2b:
+    # an empty nilpotent block of B leaves B of index 1
+    if not 1 <= qb <= max(1, h2b):
         raise InvalidOrder(f"qb={qb} invalid for block of size {h2b}")
-    if h2b == 0:
-        qb = 1
 
     def build():
         a1 = random_invertible(n1, rng, "real")
@@ -621,8 +620,8 @@ def make_commuting_quadruple(
     dims: tuple[int, int, int, int] = (2, 2, 1, 1),
     qa: int = 1,
     qb: int = 1,
-    m: int | None = None,
-    n: int | None = None,
+    m: int,
+    n: int,
     shared_weight: bool = False,
     conjugate: bool = True,
 ) -> GeneratedInstance:
@@ -641,8 +640,6 @@ def make_commuting_quadruple(
     nca, ncb, nna, nnb = dims
     if not 1 <= qa <= nca or not 1 <= qb <= ncb:
         raise InvalidOrder(f"orders ({qa},{qb}) invalid for core dims ({nca},{ncb})")
-    m = m if m is not None else 2 * qa - 1
-    n = n if n is not None else 2 * qb - 1
     if flavor not in ("triangle-drazin", "delta"):
         raise ValueError(f"unknown flavor {flavor!r}")
     kind, sel = _WEIGHT_HYPOTHESIS[flavor]
@@ -922,13 +919,12 @@ def make_product_pairs(
 
 _FAMILY_LANE = {fam: i for i, fam in enumerate(Family)}
 
-
-def _need(spec: InstanceSpec, dims: int, orders: int) -> None:
-    if len(spec.dims) != dims or len(spec.orders) != orders:
-        raise InvalidOrder(
-            f"family {spec.family.value} takes {dims} dims and {orders} orders, "
-            f"got {len(spec.dims)} and {len(spec.orders)}"
-        )
+# the accepted counts of dims and the count of orders each family takes
+_ARITY = {
+    Family.UNITARY: ((1,), 0), Family.NILPOTENT: ((1,), 1), Family.INVERTIBLE: ((1,), 0),
+    Family.DRAZIN_BLOCK: ((2,), 1), Family.AB_ZERO: ((2,), 2), Family.HYPOTHESIS1: ((4,), 2),
+    Family.REMARK3: ((0, 1), 0), Family.SCALAR_PLUS_NILPOTENT: ((1,), 1),
+}
 
 
 def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> GeneratedInstance:
@@ -936,11 +932,15 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
     if any(d < 0 for d in spec.dims):
         raise InvalidOrder(f"dims must be nonnegative, got {list(spec.dims)}")
     fam = Family(spec.family)
+    dims, orders = _ARITY[fam]
+    if len(spec.dims) not in dims or len(spec.orders) != orders:
+        raise InvalidOrder(
+            f"family {fam.value} takes {' or '.join(map(str, dims))} dims and {orders} orders, "
+            f"got {len(spec.dims)} and {len(spec.orders)}"
+        )
     rng = rng_for(spec.seed, _FAMILY_LANE[fam])
 
     if fam == Family.UNITARY:
-        _need(spec, 1, 0)
-
         def build_unitary():
             u = random_unitary(spec.dims[0], rng)
             resid = frob(adjoint(u) @ u - eye(spec.dims[0]))
@@ -950,7 +950,6 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
         return _with_retries(build_unitary)
 
     if fam == Family.NILPOTENT:
-        _need(spec, 1, 1)
         n, q = spec.dims[0], spec.orders[0]
 
         def build_nilpotent():
@@ -967,8 +966,6 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
         return _with_retries(build_nilpotent)
 
     if fam == Family.INVERTIBLE:
-        _need(spec, 1, 0)
-
         def build_invertible():
             a = random_invertible(spec.dims[0], rng)
             certified = _certify([("condition", condition(a), 100.0)])
@@ -977,32 +974,24 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
         return _with_retries(build_invertible)
 
     if fam == Family.DRAZIN_BLOCK:
-        _need(spec, 2, 1)
         return make_drazin_block(spec.dims[0], spec.dims[1], spec.orders[0], rng, policy)
 
     if fam == Family.AB_ZERO:
-        _need(spec, 2, 2)
         return make_ab_zero_pair(
             spec.dims[0], spec.dims[1], rng, policy, qa=spec.orders[0], qb=spec.orders[1]
         )
 
     if fam == Family.HYPOTHESIS1:
-        _need(spec, 4, 2)
+        qa, qb = spec.orders
         return make_commuting_quadruple(
-            rng, policy, dims=spec.dims, qa=spec.orders[0], qb=spec.orders[1]
+            rng, policy, dims=spec.dims, qa=qa, qb=qb, m=2 * qa - 1, n=2 * qb - 1
         )
 
     if fam == Family.REMARK3:
-        if len(spec.dims) > 1 or spec.orders:
-            raise InvalidOrder(
-                f"family {fam.value} takes 0 or 1 dims and 0 orders, "
-                f"got {len(spec.dims)} and {len(spec.orders)}"
-            )
         n1 = spec.dims[0] if spec.dims else 2
         return make_remark3_counterexample(rng, policy, n1=n1)
 
     if fam == Family.SCALAR_PLUS_NILPOTENT:
-        _need(spec, 1, 1)
         s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
         return make_scalar_plus_nilpotent(spec.dims[0], spec.orders[0], s, rng, policy)
 

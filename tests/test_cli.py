@@ -208,9 +208,16 @@ class TestExampleCommand:
          ("scalar-plus-nilpotent", "4", "2")],
     )
     def test_instance_file_names_its_family(self, family, dims, orders, tmp_path, capsys):
-        assert main(["example", "--family", family, "--dims", dims, "--orders", orders,
-                     "--seed", "4", "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "instance.json").read_text())
+        # written once here and once by a fresh process: the files depend
+        # on the seed alone, byte for byte
+        argv = ["example", "--family", family, "--dims", dims, "--orders", orders, "--seed", "4"]
+        assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+        _assert_exit(_run_opcheck(argv + ["--out", str(tmp_path / "two")]), 0)
+        files = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "two").iterdir())
+        for name in files:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+        doc = json.loads((tmp_path / "one" / "instance.json").read_text())
         assert list(doc) == ["family", "meta", "certified", "matrices", "spec"]
         assert doc["family"] == doc["spec"]["family"] == family
 
@@ -346,11 +353,21 @@ def _run_opcheck(argv, policy=None):
     )
 
 
+def _assert_exit(proc, code, prefix=None):
+    """``proc`` exited with ``code``, wrote no traceback and no numpy
+    RuntimeWarning to stderr, and named a usage error or numerical failure
+    (argparse's rejections pass their own ``prefix``)."""
+    assert proc.returncode == code, proc.stderr
+    prefix = prefix or {1: "opcheck: error:", 2: "opcheck: numerical failure:"}.get(code)
+    assert prefix is None or prefix in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 def test_verify_prints_one_line_per_suite_into_a_pipe():
     # stdout is a pipe, so block-buffered: a worker forked while the
     # previous suite's line sits in the buffer must not print it again
     proc = _run_opcheck(["verify", "--suite", "all", "--trials", "6"])
-    assert proc.returncode == 0, proc.stderr
+    _assert_exit(proc, 0)
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines] == list(available_suites())
 
@@ -363,8 +380,7 @@ def test_failing_report_through_the_cli_is_strict_json(tmp_path):
     report = tmp_path / "r.json"
     proc = _run_opcheck(["verify", "--suite", "all", "--trials", "30", "--seed", "2",
                          "--report", str(report)], policy)
-    assert proc.returncode == 3, proc.stderr
-    assert "Traceback" not in proc.stderr
+    _assert_exit(proc, 3)
     docs = json.loads(report.read_text(), parse_constant=_reject_constant)
     assert [d["suite"] for d in docs] == list(available_suites())
     failures = [f for d in docs for f in d["failures"]]
@@ -397,12 +413,6 @@ def test_documents_take_their_keys_from_the_dataclass_fields(fixture_files, tmp_
     assert spec == {"family": "drazin-block", "dims": [2, 1], "orders": [1], "seed": 4}
 
 
-def _assert_usage_error(proc):
-    assert proc.returncode == 1, proc.stderr
-    assert "opcheck: error:" in proc.stderr
-    assert "Traceback" not in proc.stderr
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -419,7 +429,7 @@ def _assert_usage_error(proc):
          "kernel-order-ill-conditioned", "classify-max-order-ill-conditioned"],
 )
 def test_bad_order_or_count_is_usage_error(argv, fixture_files):
-    _assert_usage_error(_run_opcheck([a.format(**fixture_files) for a in argv]))
+    _assert_exit(_run_opcheck([a.format(**fixture_files) for a in argv]), 1)
 
 
 _CLASSIFY_JORDAN = ["classify", "{jordan}", "--transform", "delta", "--pair", "adjoint"]
@@ -453,7 +463,7 @@ def test_bad_policy_file_is_usage_error_before_any_output(content, argv, fixture
     policy = tmp_path / "policy.json"
     policy.write_bytes(content)
     proc = _run_opcheck([a.format(**fixture_files) for a in argv], policy)
-    _assert_usage_error(proc)
+    _assert_exit(proc, 1)
     assert proc.stdout == ""
     assert "bad policy file" in proc.stderr
 
@@ -473,7 +483,7 @@ def test_malformed_matrix_file_is_usage_error(content, message, tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     proc = _run_opcheck(["drazin", str(path)])
-    _assert_usage_error(proc)
+    _assert_exit(proc, 1)
     assert message in proc.stderr
 
 
@@ -490,7 +500,7 @@ def test_malformed_matrix_file_is_usage_error(content, message, tmp_path):
 )
 def test_unwritable_output_is_usage_error(argv, fixture_files, tmp_path):
     names = dict(fixture_files, missing=str(tmp_path / "missing"))
-    _assert_usage_error(_run_opcheck([a.format(**names) for a in argv]))
+    _assert_exit(_run_opcheck([a.format(**names) for a in argv]), 1)
 
 
 @pytest.mark.parametrize("kind", ["delta", "triangle"])
@@ -500,9 +510,7 @@ def test_overflowing_kernel_is_numerical_failure(kind, tmp_path):
     mc.save_matrix(path, np.array([[1e200, 1e200], [0, 1e200]], dtype=complex))
     proc = _run_opcheck(["kernel", str(path), "--transform", kind, "--pair", "adjoint",
                          "--order", "2"])
-    assert proc.returncode == 2, proc.stderr
-    assert "opcheck: numerical failure:" in proc.stderr
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    _assert_exit(proc, 2)
 
 
 _NAN_SQUARE = [[0, 0], [-1e200 - 1e200j, -1e300 - 1e300j]]
@@ -530,31 +538,42 @@ _SIGMA_OVERFLOW = [[0, 1.5e308, 1.5e308], [0, 0, 0], [0, 0, 0]]
         # the index search gives A^2 rank 0, and A^3 overflows in the
         # residual of A^(p+1) A_d = A^p, which --json printed as NaN
         ([[0, 1e-10j], [1e200, 0]], ["drazin", "--json"]),
-        # C(1030, 515) is beyond the double range, whatever the entries
+        # C(1030, 515) is beyond the double range, whatever the entries; a
+        # core-nilpotent split reaches the same check through its blocks
         ([[1, 0], [0, 1]], ["kernel", "--transform", "triangle", "--pair", "self",
                             "--order", "1030"]),
+        ([[2, 0, 0], [0, 0, 1], [0, 0, 0]], ["kernel", "--transform", "delta", "--pair",
+                                             "adjoint", "--order", "1030"]),
     ],
     ids=["classify-1e100", "classify-1e200", "drazin-singular", "kernel-singular",
          "drazin-nan-square", "classify-nan-square", "classify-scan-1e155",
          "drazin-sigma-overflow", "classify-sigma-overflow", "drazin-residual-overflow",
-         "kernel-order-1030"],
+         "kernel-order-1030", "kernel-split-order-1030"],
 )
 def test_overflowing_scale_is_numerical_failure(entries, argv, tmp_path):
     # finite entries whose defect scale, defect or power of A overflows
     path = tmp_path / "huge.json"
     mc.save_matrix(path, np.array(entries, dtype=complex))
     proc = _run_opcheck([argv[0], str(path), *argv[1:]])
-    assert proc.returncode == 2, proc.stderr
+    _assert_exit(proc, 2)
     assert proc.stdout == ""
-    assert "opcheck: numerical failure:" in proc.stderr
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_drazin_of_an_oblique_matrix_near_the_double_range_has_index_one(tmp_path):
+    # A^2 = [[1e300, 1e307], [0, 0]] keeps rank 1 above the finite rank floor
+    path = tmp_path / "oblique.json"
+    mc.save_matrix(path, np.array([[1e150, 1e157], [0, 0]], dtype=complex))
+    proc = _run_opcheck(["drazin", str(path), "--json"])
+    _assert_exit(proc, 0)
+    assert json.loads(proc.stdout)["index"] == 1
 
 
 def test_orders_with_overflowing_binomials_are_generation_errors(tmp_path):
     report = tmp_path / "report.json"
     proc = _run_opcheck(["verify", "--suite", "thm1", "--trials", "40", "--order-max", "1100",
                          "--seed", "0", "--report", str(report)])
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    # thm1 fails at these orders (the strict xfail of ROADMAP item 6 in test_suites.py)
+    _assert_exit(proc, 3)
     assert proc.stdout.startswith("thm1 ")
     errors = json.loads(report.read_text())["generation_errors"]
     assert any("binomial coefficients overflow" in e["error"] for e in errors)
@@ -564,26 +583,24 @@ def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, c
     assert cli.build_parser() is cli.build_parser()
     out = str(tmp_path / "basis.json")
     calls = [
-        ["classify", fixture_files["jordan"], "--transform", "spiral", "--pair", "adjoint"],
-        ["classify", fixture_files["drazin3"], "--transform", "delta", "--pair", "drazin",
-         "--max-order", "4", "--json"],
-        ["kernel", fixture_files["drazin3"], "--transform", "delta", "--pair", "drazin-adjoint",
-         "--order", "2", "--out", out],
+        (1, ["classify", fixture_files["jordan"], "--transform", "spiral", "--pair", "adjoint"]),
+        (0, ["classify", fixture_files["drazin3"], "--transform", "delta", "--pair", "drazin",
+             "--max-order", "4", "--json"]),
+        (0, ["kernel", fixture_files["drazin3"], "--transform", "delta", "--pair",
+             "drazin-adjoint", "--order", "2", "--out", out]),
     ]
-    codes = []
-    for argv in calls:
+    for code, argv in calls:
         fresh = _run_opcheck(argv)
-        codes.append(fresh.returncode)
+        _assert_exit(fresh, code, "usage: opcheck classify" if code else None)
         written = None
         if "--out" in argv:
             written = Path(out).read_text()
             Path(out).unlink()
-        assert main(argv) == fresh.returncode
+        assert main(argv) == code
         got = capsys.readouterr()
         assert (got.out, got.err) == (fresh.stdout, fresh.stderr)
         if written is not None:
             assert Path(out).read_text() == written
-    assert codes == [1, 0, 0]
 
 
 def test_handlers_are_looked_up_when_called(fixture_files, monkeypatch):
@@ -596,12 +613,13 @@ def test_handlers_are_looked_up_when_called(fixture_files, monkeypatch):
 
 @pytest.mark.parametrize(
     "family, dims, orders",
-    [("unitary", "-1", ""), ("nilpotent", "-2", "1"), ("remark3", "-1", "")],
+    [("unitary", "-1", ""), ("nilpotent", "-2", "1"), ("remark3", "-1", ""),
+     ("remark3", "2,1", ""), ("remark3", "", "1")],
 )
-def test_example_with_negative_dims_is_usage_error(family, dims, orders, tmp_path):
+def test_example_with_bad_dims_or_orders_is_usage_error(family, dims, orders, tmp_path):
     out = tmp_path / "ex"
-    _assert_usage_error(_run_opcheck(["example", "--family", family, "--dims", dims,
-                                      "--orders", orders, "--out", str(out)]))
+    _assert_exit(_run_opcheck(["example", "--family", family, "--dims", dims,
+                               "--orders", orders, "--out", str(out)]), 1)
     assert not out.exists()
 
 

@@ -176,6 +176,12 @@ class TestAbZeroPair:
         with pytest.raises(InvalidOrder):
             make_ab_zero_pair(2, 1, rng_for(0, 53), P)
 
+    @pytest.mark.parametrize("qb", [0, 7])
+    def test_explicit_qb_without_a_b_nilpotent_is_rejected(self, qb):
+        # n2 = 2 with an invertible tail leaves B's nilpotent block empty, so B has index 1
+        with pytest.raises(InvalidOrder, match=f"qb={qb} invalid for block of size 0"):
+            make_ab_zero_pair(1, 2, rng_for(0, 38), P, qb=qb, invertible_tail=True)
+
 
 class TestScalarPlusNilpotent:
     def test_real_scalar_selfadjoint_order(self):
@@ -215,7 +221,7 @@ def test_commuting_core_weight_hypotheses():
 class TestQuadruples:
     def test_commuting_quadruple_certifications(self):
         inst = make_commuting_quadruple(
-            rng_for(0, 90), P, flavor="triangle-drazin", dims=(2, 2, 1, 1), qa=2, qb=1
+            rng_for(0, 90), P, flavor="triangle-drazin", dims=(2, 2, 1, 1), qa=2, qb=1, m=3, n=1
         )
         names = dict(inst.certified)
         assert names["commutator_AB"] <= 1e-10
@@ -224,7 +230,7 @@ class TestQuadruples:
 
     def test_delta_flavor(self):
         inst = make_commuting_quadruple(
-            rng_for(1, 91), P, flavor="delta", dims=(3, 2, 0, 0), qa=2, qb=1
+            rng_for(1, 91), P, flavor="delta", dims=(3, 2, 0, 0), qa=2, qb=1, m=3, n=1
         )
         a, x = inst.matrices["A"], inst.matrices["X"]
         m = inst.meta["m"]
@@ -232,7 +238,7 @@ class TestQuadruples:
 
     def test_shared_weight(self):
         inst = make_commuting_quadruple(
-            rng_for(2, 92), P, flavor="delta", dims=(2, 2, 1, 0), qa=2, qb=2,
+            rng_for(2, 92), P, flavor="delta", dims=(2, 2, 1, 0), qa=2, qb=2, m=3, n=3,
             shared_weight=True,
         )
         np.testing.assert_array_equal(inst.matrices["X"], inst.matrices["Y"])
@@ -425,12 +431,25 @@ class TestGenerateDispatch:
         with pytest.raises(InvalidOrder):
             generate(InstanceSpec(family, dims, orders, 0), P)
 
-    def test_bad_arity_rejected(self):
-        with pytest.raises(InvalidOrder):
-            generate(InstanceSpec(Family.UNITARY, (3,), (1,), 0), P)
-        with pytest.raises(InvalidOrder):
-            generate(InstanceSpec(Family.DRAZIN_BLOCK, (2,), (1,), 0), P)
-        with pytest.raises(InvalidOrder, match="takes 0 or 1 dims and 0 orders, got 2 and 0"):
-            generate(InstanceSpec(Family.REMARK3, (2, 1), (), 0), P)
-        with pytest.raises(InvalidOrder, match="takes 0 or 1 dims and 0 orders, got 0 and 1"):
-            generate(InstanceSpec(Family.REMARK3, (), (1,), 0), P)
+    @pytest.mark.parametrize(
+        "family, dims, orders, counts",
+        [
+            (Family.UNITARY, (3,), (1,), "1 dims and 0 orders, got 1 and 1"),
+            (Family.NILPOTENT, (3,), (), "1 dims and 1 orders, got 1 and 0"),
+            (Family.INVERTIBLE, (), (), "1 dims and 0 orders, got 0 and 0"),
+            (Family.DRAZIN_BLOCK, (2,), (1,), "2 dims and 1 orders, got 1 and 1"),
+            (Family.AB_ZERO, (2, 4), (2,), "2 dims and 2 orders, got 2 and 1"),
+            (Family.HYPOTHESIS1, (2, 2, 1), (2, 1), "4 dims and 2 orders, got 3 and 2"),
+            (Family.REMARK3, (2, 1), (), "0 or 1 dims and 0 orders, got 2 and 0"),
+            (Family.REMARK3, (), (1,), "0 or 1 dims and 0 orders, got 0 and 1"),
+            (Family.SCALAR_PLUS_NILPOTENT, (3, 3), (2,), "1 dims and 1 orders, got 2 and 1"),
+        ],
+        ids=["unitary", "nilpotent", "invertible", "drazin-block", "ab-zero", "hypothesis1",
+             "remark3-dims", "remark3-orders", "scalar-plus-nilpotent"],
+    )
+    @pytest.mark.parametrize("as_value", [False, True], ids=["enum", "string"])
+    def test_bad_arity_rejected(self, family, dims, orders, counts, as_value):
+        # a library caller may name the family by its string value
+        spec = InstanceSpec(family.value if as_value else family, dims, orders, 0)
+        with pytest.raises(InvalidOrder, match=f"^family {family.value} takes {counts}$"):
+            generate(spec, P)

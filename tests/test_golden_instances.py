@@ -43,13 +43,14 @@ CASES = {
         rng_for(0, 80), P, n1=3, n2=2, p=2, m=2
     ),
     "quadruple_triangle_drazin": lambda: gen.make_commuting_quadruple(
-        rng_for(0, 90), P, flavor="triangle-drazin", dims=(2, 2, 1, 1), qa=2, qb=1
+        rng_for(0, 90), P, flavor="triangle-drazin", dims=(2, 2, 1, 1), qa=2, qb=1, m=3, n=1
     ),
     "quadruple_delta": lambda: gen.make_commuting_quadruple(
-        rng_for(1, 91), P, flavor="delta", dims=(3, 2, 0, 0), qa=2, qb=1
+        rng_for(1, 91), P, flavor="delta", dims=(3, 2, 0, 0), qa=2, qb=1, m=3, n=1
     ),
     "quadruple_shared_weight": lambda: gen.make_commuting_quadruple(
-        rng_for(2, 92), P, flavor="delta", dims=(2, 2, 1, 0), qa=2, qb=2, shared_weight=True
+        rng_for(2, 92), P, flavor="delta", dims=(2, 2, 1, 0), qa=2, qb=2, m=3, n=3,
+        shared_weight=True,
     ),
     "disjoint_triangle_adjoint": lambda: gen.make_disjoint_quadruple(
         rng_for(3, 93), P, flavor="triangle-adjoint", dims=(2, 1, 2, 1), qa=2, qb=1, m=3, n=1
