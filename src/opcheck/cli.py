@@ -77,10 +77,12 @@ EXIT_VERDICT = 3
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2 for
-    numerical failures, so usage errors are remapped to 1."""
+    numerical failures, so usage errors are remapped to 1. The usage lines
+    are followed by argparse's message, which names the bad argument."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"opcheck: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

@@ -2,13 +2,15 @@
 class membership tests, and minimal-order search.
 
 Under column-major vectorization, ``vec(B X A) = (A^T kron B) vec(X)``, so
-both transforms become n^2 x n^2 matrices acting on vec(X). The kernel of
-that matrix is the full space of weights X annihilated by the transform.
-The singular values alone decide its dimension, with the policy's relative
-cutoff, and the gap between accepted and rejected singular values is
-reported so callers can spot unreliable dimensions. Singular vectors are
-computed afterwards, and only for a map that has a kernel: most maps have
-none, and a full SVD takes about twice as long as a values-only one.
+both transforms become n^2 x n^2 matrices acting on vec(X). Each is built
+with the transforms' one-step map: column k is vec of the k-th unit weight
+stepped m times. The kernel of that matrix is the full space of weights X
+annihilated by the transform. The singular values alone decide its
+dimension, with the policy's relative cutoff, and the gap between accepted
+and rejected singular values is reported so callers can spot unreliable
+dimensions. Singular vectors are computed afterwards, and only for a map
+that has a kernel: most maps have none, and a full SVD takes about twice
+as long as a values-only one.
 
 Given A's core-nilpotent decomposition, :func:`kernel` splits the weight
 space when that splitting is unitary (``cond_s - 1 <= rank_rtol``). Then
@@ -32,7 +34,8 @@ than building R). The two off-diagonal block maps mirror each other,
 L_ji(Y^*) = +-(L_ij(Y))^*, and Y -> Y^* is an isometry, so they share one
 set of singular values. R is the real part of c U^H T U for the complex block matrix T. The exact
 map's form is real, so the dropped imaginary part is rounding of T's build
-(of order eps times the binomial terms, eps ||T|| when they do not cancel),
+(of order eps growth^m, the most the m steps that build it can grow a
+weight; eps ||T|| when the steps do not cancel),
 and R is no farther from the exact form than T is from the exact map; by
 Weyl's inequality the values move by no more than that. The vectors still
 come from the complex SVD of the block matrix itself.
@@ -43,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from math import comb
 
 import numpy as np
 
@@ -68,28 +70,15 @@ __all__ = [
 ]
 
 
-def _kron_sum(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
+def _block_map(kind: TransformKind, b: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
     """Matrix of Y -> transform(B, A, Y, m) for square B (p x p) and A
-    (q x q) acting on column-stacked p x q weights Y."""
-    if m > 1029:  # C(m, m // 2) is beyond the double range from m = 1030 on
-        raise IllConditioned(f"the order-{m} binomial coefficients overflow")
-    ap = [np.eye(a.shape[0], dtype=np.complex128)]
-    bp = [np.eye(b.shape[0], dtype=np.complex128)]
+    (q x q) acting on column-stacked p x q weights Y: column k is vec of the
+    k-th unit weight stepped m times, all p q of them at once."""
+    p, q = b.shape[0], a.shape[0]
+    y = np.eye(p * q, dtype=np.complex128).reshape(p * q, q, p).swapaxes(1, 2)
     for _ in range(m):
-        ap.append(ap[-1] @ a)
-        bp.append(bp[-1] @ b)
-    # kron(R, L)[i p + k, j p + l] = R[i, j] L[k, l]: each term is built as
-    # the (q, p, q, p) broadcast product in one reused buffer, scaled in
-    # place, and the sum reshaped once
-    q, p = a.shape[0], b.shape[0]
-    acc = np.zeros((q, p, q, p), dtype=np.complex128)
-    term = np.empty_like(acc)
-    for j in range(m + 1):
-        right = ap[m - j] if kind == TransformKind.TRIANGLE else ap[j]
-        np.multiply(right.T[:, None, :, None], bp[m - j][None, :, None, :], out=term)
-        term *= (-1) ** j * comb(m, j)
-        acc += term
-    return acc.reshape(q * p, q * p)
+        y = _step(kind, b, a, y)
+    return y.swapaxes(1, 2).reshape(p * q, p * q).T
 
 
 @functools.cache
@@ -204,7 +193,7 @@ def _split_blocks(kind, b, a, m, dd: DrazinData, policy: NumericPolicy) -> list:
         raise ValueError("the decomposition does not split this pair")
     cut = (slice(0, r), slice(r, n))
     return [
-        (s[:, ci], s[:, cj], _kron_sum(kind, tb[ci, ci], ta[cj, cj], m))
+        (s[:, ci], s[:, cj], _block_map(kind, tb[ci, ci], ta[cj, cj], m))
         for ci in cut
         for cj in cut
     ]
@@ -236,24 +225,24 @@ def kernel(
     SVDs, and for B = A^* from the real forms, so they can move in the last
     bits while ``dim`` and the basis do not. ``gap`` divides by the largest
     discarded value, which is often rounding noise, so its digits carry no
-    meaning beyond its magnitude. Non-finite operands raise ParseError; a
-    block map or zero floor that overflows raises IllConditioned, before any
-    SVD (after numpy's overflow warnings, if those are on), and so does an
-    order above 1029, whose binomial coefficients overflow.
+    meaning beyond its magnitude. Non-finite operands raise ParseError. A
+    zero floor that overflows raises IllConditioned before any block map is
+    built, and a block map that overflows raises it before any SVD (after
+    numpy's overflow warnings, if those are on).
     """
     kind = TransformKind(kind)
     b, a = _operands(m, b, a)
     n = a.shape[0]
-    if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= policy.rank_rtol:
-        blocks = _split_blocks(kind, b, a, m, dd, policy)
-    else:
-        blocks = [(None, None, _kron_sum(kind, b, a, m))]
-    tms = [tm for *_, tm in blocks]
-    forms = _value_forms(kind, tms, m) if np.array_equal(b, adjoint(a)) else tms
     # A map whose norm sits below the defect zero threshold annihilates
     # every weight up to rounding; the relative cutoff alone cannot see
     # that, so it gets an absolute floor: the threshold of a unit weight.
     zero_floor = defect_threshold(policy, defect_growth(b, a), m, 1.0)
+    if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= policy.rank_rtol:
+        blocks = _split_blocks(kind, b, a, m, dd, policy)
+    else:
+        blocks = [(None, None, _block_map(kind, b, a, m))]
+    tms = [tm for *_, tm in blocks]
+    forms = _value_forms(kind, tms, m) if np.array_equal(b, adjoint(a)) else tms
     # every matrix an SVD may take, once: the block maps and the real forms
     svd_inputs = {id(x): x for x in (*tms, *forms) if x is not None}.values()
     if not all(np.isfinite(x).all() for x in svd_inputs):

@@ -12,8 +12,8 @@ For square matrices B, A of equal size, order m >= 1 and a weight X:
 
 ``transform(kind, B, A, X, m)`` validates the operands and applies the
 one-step map ``_step`` m times; ``triangle`` and ``delta`` are ``transform``
-with a fixed kind, and the minimal-order scan steps with ``_step`` too. The
-paper writes them as binomial sums,
+with a fixed kind, and the minimal-order scan and the kernel's block maps
+step with ``_step`` too. The paper writes them as binomial sums,
 sum_j (-1)^j C(m,j) B^(m-j) X A^(m-j) and sum_j (-1)^j C(m,j) B^(m-j) X A^j;
 those sums are kept in the tests as the oracle the iteration is checked
 against. ``_operands`` is the one operand check of the numeric functions

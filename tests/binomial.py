@@ -1,8 +1,9 @@
 """The binomial-sum form of both transforms, as the paper writes them.
 
 The package evaluates each transform by applying its one-step map m times,
-and builds its matrix on column-stacked weights from broadcast products;
-this module is the independent oracle both are checked against.
+and builds the kernel's block maps by stepping every unit weight m times;
+this module is the independent oracle both are checked against, within
+rounding.
 """
 
 from math import comb

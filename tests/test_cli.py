@@ -432,6 +432,24 @@ def test_bad_order_or_count_is_usage_error(argv, fixture_files):
     _assert_exit(_run_opcheck([a.format(**fixture_files) for a in argv]), 1)
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["classify", "{jordan}", "--transform", "spiral", "--pair", "adjoint"], "--transform"),
+        (["kernel", "{jordan}", "--transform", "delta", "--pair", "adjoint"], "--order"),
+        (["kernel", "{jordan}", "--transform", "delta", "--pair", "adjoint", "--order", "two"],
+         "--order"),
+    ],
+    ids=["bad-choice", "missing-flag", "non-integer-order"],
+)
+def test_usage_error_names_the_argument(argv, named, fixture_files):
+    proc = _run_opcheck([a.format(**fixture_files) for a in argv])
+    _assert_exit(proc, 1)
+    assert proc.stderr.startswith(f"usage: opcheck {argv[0]}")
+    assert any(line.startswith("opcheck: error:") and named in line
+               for line in proc.stderr.splitlines()), proc.stderr
+
+
 _CLASSIFY_JORDAN = ["classify", "{jordan}", "--transform", "delta", "--pair", "adjoint"]
 
 
@@ -538,8 +556,9 @@ _SIGMA_OVERFLOW = [[0, 1.5e308, 1.5e308], [0, 0, 0], [0, 0, 0]]
         # the index search gives A^2 rank 0, and A^3 overflows in the
         # residual of A^(p+1) A_d = A^p, which --json printed as NaN
         ([[0, 1e-10j], [1e200, 0]], ["drazin", "--json"]),
-        # C(1030, 515) is beyond the double range, whatever the entries; a
-        # core-nilpotent split reaches the same check through its blocks
+        # the order-1030 defect scale, 2^1030 and 5^1030, is beyond the
+        # double range; the second A splits, and its scale is checked
+        # before any block map is built
         ([[1, 0], [0, 1]], ["kernel", "--transform", "triangle", "--pair", "self",
                             "--order", "1030"]),
         ([[2, 0, 0], [0, 0, 1], [0, 0, 0]], ["kernel", "--transform", "delta", "--pair",
@@ -568,15 +587,15 @@ def test_drazin_of_an_oblique_matrix_near_the_double_range_has_index_one(tmp_pat
     assert json.loads(proc.stdout)["index"] == 1
 
 
-def test_orders_with_overflowing_binomials_are_generation_errors(tmp_path):
+def test_orders_with_overflowing_defect_scales_are_generation_errors(tmp_path):
     report = tmp_path / "report.json"
     proc = _run_opcheck(["verify", "--suite", "thm1", "--trials", "40", "--order-max", "1100",
                          "--seed", "0", "--report", str(report)])
-    # thm1 fails at these orders (the strict xfail of ROADMAP item 6 in test_suites.py)
+    # thm1 fails at these orders (the strict xfail of ROADMAP item 5 in test_suites.py)
     _assert_exit(proc, 3)
     assert proc.stdout.startswith("thm1 ")
     errors = json.loads(report.read_text())["generation_errors"]
-    assert any("binomial coefficients overflow" in e["error"] for e in errors)
+    assert any("defect scale of these operators overflows" in e["error"] for e in errors)
 
 
 def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, capsys):
@@ -591,7 +610,7 @@ def test_parser_is_built_once_and_reused_across_calls(fixture_files, tmp_path, c
     ]
     for code, argv in calls:
         fresh = _run_opcheck(argv)
-        _assert_exit(fresh, code, "usage: opcheck classify" if code else None)
+        _assert_exit(fresh, code)
         written = None
         if "--out" in argv:
             written = Path(out).read_text()

@@ -7,7 +7,8 @@ builder evaluated (name, residual, threshold, in order, failed attempts
 included). Streams, residuals and thresholds must all stay exactly as
 recorded; ``test_golden`` pins only the harness outcome.
 
-Re-record with ``PYTHONPATH=src python tests/test_golden_instances.py``.
+Re-record with ``PYTHONPATH=src python tests/test_golden_instances.py``,
+which names every case whose entry changed and counts the unchanged ones.
 """
 
 import hashlib
@@ -137,5 +138,9 @@ def test_instance_matches_golden(name, monkeypatch):
 if __name__ == "__main__":
     with pytest.MonkeyPatch.context() as mp:
         out = {name: _roundtrip(_record(build, mp)) for name, build in sorted(CASES.items())}
+    changed = sorted(name for name in {*GOLDEN, *out} if GOLDEN.get(name) != out.get(name))
     FIXTURE.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(out)} instances to {FIXTURE}")
+    for name in changed:
+        print(f"changed: {name}")
+    print(f"unchanged: {sum(GOLDEN.get(name) == doc for name, doc in out.items())}")

@@ -2,7 +2,6 @@
 predicates, and the minimal-order scan."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -48,12 +47,12 @@ def _cgauss(rng, n):
 class TestTransformMatrix:
     def test_identity_pair_is_zero(self):
         for n in (1, 2, 3):
-            tm = kn._kron_sum(TK.TRIANGLE, mc.eye(n), mc.eye(n), 2)
+            tm = kn._block_map(TK.TRIANGLE, mc.eye(n), mc.eye(n), 2)
             assert tm.shape == (n * n, n * n)
             assert mc.frob(tm) <= 1e-13
 
     def test_scalar_case(self):
-        tm = kn._kron_sum(
+        tm = kn._block_map(
             TK.TRIANGLE, np.array([[3.0]], dtype=complex), np.array([[2.0]], dtype=complex), 1
         )
         np.testing.assert_allclose(tm, [[5.0]], atol=1e-14)
@@ -65,7 +64,7 @@ class TestTransformMatrix:
             m = int(rng.integers(1, 5))
             b, a = _cgauss(rng, n), _cgauss(rng, n)
             for kind in TK:
-                tm = kn._kron_sum(kind, b, a, m)
+                tm = kn._block_map(kind, b, a, m)
                 for _ in range(100):
                     x = _cgauss(rng, n)
                     lhs = tm @ x.reshape(-1, order="F")
@@ -73,26 +72,32 @@ class TestTransformMatrix:
                     scale = tf.defect_growth(b, a) ** m * mc.frob(x)
                     assert np.abs(lhs - rhs).max() <= P.rtol * scale
 
-    def test_equals_kron_oracle_bitwise(self):
+    def test_columns_are_unit_weights_stepped_bitwise(self):
+        # square maps and the split kernel's p x q block maps, p != q
         rng = rng_for(0, 109)
-        for n in range(1, 7):
-            for m in range(1, 5):
-                b, a = _cgauss(rng, n), _cgauss(rng, n)
-                for kind in TK:
-                    got = kn._kron_sum(kind, b, a, m)
-                    want = kron_transform_matrix(kind, b, a, m)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_block_map_equals_kron_oracle_bitwise(self):
-        # the split kernel's block maps act on p x q weights with p != q
-        rng = rng_for(1, 109)
-        for p, q in ((1, 3), (3, 1), (2, 5), (4, 2)):
+        for p, q in ((1, 1), (3, 3), (6, 6), (1, 3), (3, 1), (2, 5), (4, 2)):
             b, a = _cgauss(rng, p), _cgauss(rng, q)
             for kind in TK:
                 for m in (1, 2, 4):
-                    got = kn._kron_sum(kind, b, a, m)
+                    tm = kn._block_map(kind, b, a, m)
+                    assert tm.shape == (p * q, p * q)
+                    for k in range(p * q):
+                        y = np.zeros((p, q), dtype=complex)
+                        y[k % p, k // p] = 1.0
+                        for _ in range(m):
+                            y = tf._step(kind, b, a, y)
+                        assert tm[:, k].tobytes() == y.reshape(-1, order="F").tobytes()
+
+    def test_agrees_with_kron_oracle(self):
+        rng = rng_for(1, 109)
+        for p, q in ((1, 1), (2, 2), (5, 5), (1, 3), (3, 1), (2, 5), (4, 2)):
+            b, a = _cgauss(rng, p), _cgauss(rng, q)
+            for kind in TK:
+                for m in (1, 2, 4):
+                    got = kn._block_map(kind, b, a, m)
                     want = kron_transform_matrix(kind, b, a, m)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                    scale = tf.defect_growth(b, a) ** m
+                    assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * scale
 
 
 class TestKernel:
@@ -170,17 +175,22 @@ class TestKernel:
                 assert mc.frob(x - x.T) > 1.0
                 assert mc.frob(tf.transform(kind, b, a, x, m)) <= thr
 
-    def test_order_with_overflowing_binomials_is_ill_conditioned(self):
-        # C(m, m // 2), the largest coefficient, leaves the double range at 1030
-        assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+    def test_order_1030_has_the_diagonal_kernel(self):
+        # off the diagonal each step scales by 1.8, and 1.8^1030 is finite
+        # although C(1030, 515) is not
         a = 0.9 * np.diag([1.0, -1.0]).astype(complex)
-        basis = kn.kernel(TK.DELTA, a, a, 1029, P)
-        # the diagonal weights, at a cutoff pinned to the last bit
-        assert basis.dim == 2 and basis.cutoff == 4.735957008012867e252
+        basis = kn.kernel(TK.DELTA, a, a, 1030, P)
+        assert basis.dim == 2
         np.testing.assert_array_equal(basis.basis, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+    @pytest.mark.filterwarnings("error")
+    def test_order_with_overflowing_defect_scale_is_ill_conditioned(self):
+        # 1.81^5000 overflows: the zero floor raises before any map is
+        # stepped into inf, so numpy warns of no overflow
+        a = 0.9 * np.diag([1.0, -1.0]).astype(complex)
         for kind in TK:
-            with pytest.raises(IllConditioned, match="binomial coefficients overflow"):
-                kn.kernel(kind, a, a, 1030, P)
+            with pytest.raises(IllConditioned, match="defect scale"):
+                kn.kernel(kind, a, a, 5000, P)
 
     def test_sample_is_in_kernel_and_deterministic(self):
         a = np.diag([2.0, 0.5]).astype(complex)
@@ -291,7 +301,7 @@ def _reference_kernel(kind, b, a, m, dd=None):
     if dd is not None and 0 < dd.dim_h1 < n and dd.cond_s - 1 <= P.rank_rtol:
         blocks = kn._split_blocks(kind, b, a, m, dd, P)
     else:
-        blocks = [(None, None, kn._kron_sum(kind, b, a, m))]
+        blocks = [(None, None, kn._block_map(kind, b, a, m))]
     svds = [np.linalg.svd(tm, full_matrices=True)[1:] for *_, tm in blocks]
     sv = np.sort(np.concatenate([s for s, _ in svds]))[::-1]
     zero_floor = P.zero_threshold(tf.defect_growth(b, a) ** m)
@@ -388,12 +398,12 @@ class TestKernelSvds:
             a = _cgauss(rng, p)
             for kind in TK:
                 for m in (1, 2, 3):
-                    tm = kn._kron_sum(kind, mc.adjoint(a), a, m)
+                    tm = kn._block_map(kind, mc.adjoint(a), a, m)
                     c = 1 if kind == TK.TRIANGLE else (-1j) ** m
                     full = c * (mc.adjoint(u) @ tm @ u)
-                    # the rounding of the binomial build is relative to its
-                    # terms, whose size is at most growth^m; ||T|| can be far
-                    # smaller after cancellation
+                    # the rounding of the stepped build is relative to the
+                    # steps, whose size is at most growth^m; ||T|| can be
+                    # far smaller after cancellation
                     bound = 4 * eps * tf.defect_growth(mc.adjoint(a), a) ** m
                     assert mc.frob(full.imag) <= bound
                     # Re(c Z) is +-Re(Z) for c = +-1 and +-Im(Z) for c = +-i

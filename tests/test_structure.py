@@ -82,12 +82,15 @@ def test_minimal_order_of_the_identity_matches_the_closed_form_up_to_n16(kind, s
     assert got.minimal_order == structure.minimal_order(kind.value, eigs, sizes), (eigs, sizes)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 6: the rank of L^m is cut relative to sigma_1(L^m), next to "
-    "the rounding of the binomial cancellation",
-)
 def test_close_real_eigenvalues_at_order_three():
     a = np.diag([1.0, 1.01]).astype(complex)
     assert structure.kernel_dim("delta", (1.0, 1.01), ((1,), (1,)), 3) == 2
     assert kn.kernel(TK.DELTA, a, a, 3).dim == 2
+
+
+@pytest.mark.parametrize("g", [0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4, 1e-6])
+def test_kernel_dims_do_not_fall_as_the_order_grows(g):
+    # ker L^m contains ker L^(m-1), so its dimension cannot fall in m
+    a = np.diag([1.0, 1.0 + g]).astype(complex)
+    dims = [kn.kernel(TK.DELTA, a.conj().T, a, m).dim for m in range(1, 6)]
+    assert dims == sorted(dims), dims
