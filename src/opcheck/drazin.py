@@ -28,7 +28,6 @@ from .matcore import (
     condition,
     frob,
     matrix_to_json,
-    power,
     rank,
 )
 
@@ -114,7 +113,7 @@ class DrazinData:
         A residual that overflows raises IllConditioned."""
         a = np.asarray(a, dtype=np.complex128)
         a_d = self.a_d
-        ap = power(a, self.p)
+        ap = np.linalg.matrix_power(a, self.p)
         res = (
             frob(a_d @ a - a @ a_d),
             frob(a_d @ a_d @ a - a_d),

@@ -37,7 +37,6 @@ from .matcore import (
     eye,
     frob,
     matrix_to_json,
-    power,
     zeros,
 )
 from .transforms import TransformKind, defect, delta, triangle
@@ -295,7 +294,7 @@ def random_nilpotent(n: int, q: int, rng: np.random.Generator) -> np.ndarray:
                 2j * math.pi * rng.random(shape)
             )
             mat[r0:r1, c0:c1] = block / math.sqrt(c1 - c0)
-        if frob(power(mat, q - 1)) > 1e-3:
+        if frob(np.linalg.matrix_power(mat, q - 1)) > 1e-3:
             return mat
     raise GenerationFailed(f"could not realize a {q}-nilpotent of size {n}")
 
@@ -355,9 +354,10 @@ def make_drazin_block(
             ("core_condition", condition(a1), 100.0),
         ]
         if n2:
-            checks.append(("nil_order", frob(power(a2, p)), policy.zero_threshold(1.0)))
+            a2_p = np.linalg.matrix_power(a2, p)
+            checks.append(("nil_order", frob(a2_p), policy.zero_threshold(1.0)))
             if p > 1:
-                shortfall = max(0.0, 1e-3 - frob(power(a2, p - 1)))
+                shortfall = max(0.0, 1e-3 - frob(np.linalg.matrix_power(a2, p - 1)))
                 checks.append(("nil_order_sharp", shortfall, 0.0))
         certified = _certify(checks)
         return GeneratedInstance(
@@ -812,7 +812,7 @@ def make_nilpotent_perturbation(
         else:
             r = 1 if qa <= 2 else int(rng.integers(1, qa - 1))
             coeff = (0.4 + rng.random()) * _unit_modulus(rng)
-            pert = block_diag(coeff * power(core_nil, r), zeros(nb, nb))
+            pert = block_diag(coeff * np.linalg.matrix_power(core_nil, r), zeros(nb, nb))
             q = -(-qa // r)  # ceil(qa / r): exact nilpotency order of core_nil^r
 
         a, x, pert = _conjugated(rng, conjugate, a, x, pert)
@@ -821,7 +821,11 @@ def make_nilpotent_perturbation(
             [
                 ("defect_A_X", *defect(kind, b, a, x, m, policy)),
                 _commutator("commutator_AN", a, pert, policy),
-                ("pert_nilpotency", frob(power(pert, q)), policy.zero_threshold(1.0)),
+                (
+                    "pert_nilpotency",
+                    frob(np.linalg.matrix_power(pert, q)),
+                    policy.zero_threshold(1.0),
+                ),
             ]
         )
         return GeneratedInstance(
@@ -957,7 +961,7 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
             dd = core_nilpotent_decompose(nil, policy)
             certified = _certify(
                 [
-                    ("nil_order", frob(power(nil, q)), policy.zero_threshold(1.0)),
+                    ("nil_order", frob(np.linalg.matrix_power(nil, q)), policy.zero_threshold(1.0)),
                     ("index", abs(dd.p - (q if n else 0)), 0.5),
                 ]
             )

@@ -28,17 +28,16 @@ rank decision takes cheaper SVDs. Both transforms then map Hermitian
 weights to Hermitian weights, times i^m for delta, and so does every
 diagonal block map. In an orthonormal basis of Hermitian matrices such a
 map, times c = 1 (triangle) or (-i)^m (delta), is a real matrix R, and a
-real SVD takes about half as long as a complex one of the same size (from
-5 x 5 weights on; a smaller block keeps its complex SVD, which costs less
-than building R). The two off-diagonal block maps mirror each other,
-L_ji(Y^*) = +-(L_ij(Y))^*, and Y -> Y^* is an isometry, so they share one
-set of singular values. R is the real part of c U^H T U for the complex block matrix T. The exact
+real SVD takes about half as long as a complex one of the same size. The
+two off-diagonal block maps mirror each other, L_ji(Y^*) = +-(L_ij(Y))^*,
+and Y -> Y^* is an isometry, so they share one set of singular values.
+R is the real part of c U^H T U for the complex block matrix T. The exact
 map's form is real, so the dropped imaginary part is rounding of T's build
 (of order eps growth^m, the most the m steps that build it can grow a
-weight; eps ||T|| when the steps do not cancel),
-and R is no farther from the exact form than T is from the exact map; by
-Weyl's inequality the values move by no more than that. The vectors still
-come from the complex SVD of the block matrix itself.
+weight when ||B|| = ||A||; eps ||T|| when the steps do not cancel), and R
+is no farther from the exact form than T is from the exact map; by Weyl's
+inequality the values move by no more than that. The vectors still come
+from the complex SVD of the block matrix itself.
 """
 
 from __future__ import annotations
@@ -115,26 +114,16 @@ def _real_form(t: np.ndarray, imaginary: bool) -> np.ndarray:
     return (z.imag if imaginary else z.real).reshape(p * p, p * p)
 
 
-# Below 5 x 5 weights (25 rows of the block map) a real form costs more to
-# build, a fixed count of passes over the map, than its real SVD saves.
-_REAL_FORM_MIN = 25
-
-
 def _value_forms(kind: TransformKind, tms: list, m: int) -> list:
     """For B = A*, the matrix whose singular values are each block map's:
-    the real form of a diagonal block of at least _REAL_FORM_MIN weights,
-    and None for the (nil, core) block, whose values are those of its mirror
-    (core, nil) just before it. The phase c is 1 for triangle and (-i)^m for
-    delta, imaginary for odd m."""
+    the real form of a diagonal block, and None for the (nil, core) block,
+    whose values are those of its mirror (core, nil) just before it. The
+    phase c is 1 for triangle and (-i)^m for delta, imaginary for odd m."""
     imaginary = kind == TransformKind.DELTA and m % 2 == 1
-
-    def diagonal(t):
-        return _real_form(t, imaginary) if t.shape[0] >= _REAL_FORM_MIN else t
-
     if len(tms) == 1:
-        return [diagonal(tms[0])]
+        return [_real_form(tms[0], imaginary)]
     t11, t12, _, t22 = tms
-    return [diagonal(t11), t12, None, diagonal(t22)]
+    return [_real_form(t11, imaginary), t12, None, _real_form(t22, imaginary)]
 
 
 def _normalize_phase(x: np.ndarray) -> np.ndarray:
@@ -217,9 +206,8 @@ def kernel(
     of every block, taken without vectors; then only a block with a value at
     or below the cutoff gets a full SVD, whose trailing right singular
     vectors are its part of the basis. When B equals A^* exactly, the
-    values of each diagonal block of at least 5 x 5 weights (the dense map
-    counts as one block) come from its real form, and the two off-diagonal
-    blocks share one SVD.
+    values of each diagonal block (the dense map counts as one block) come
+    from its real form, and the two off-diagonal blocks share one SVD.
 
     ``singular_values``, ``cutoff`` and ``gap`` come from the values-only
     SVDs, and for B = A^* from the real forms, so they can move in the last

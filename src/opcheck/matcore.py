@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "as_matrix",
     "adjoint",
-    "power",
     "rank",
     "inverse",
     "frob",
@@ -94,24 +93,6 @@ def _require_square(m: np.ndarray) -> np.ndarray:
 def adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
-
-
-def power(m: np.ndarray, k: int) -> np.ndarray:
-    """``m**k`` for integer k >= 0 by repeated squaring; ``m**0`` is I."""
-    m = _require_square(np.asarray(m, dtype=np.complex128))
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    n = m.shape[0]
-    result = np.eye(n, dtype=np.complex128)
-    base = m.copy()
-    e = int(k)
-    while e:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:

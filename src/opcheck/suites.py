@@ -71,7 +71,6 @@ from .matcore import (
     eye,
     frob,
     inverse,
-    power,
 )
 from .transforms import (
     TransformKind,
@@ -285,7 +284,8 @@ def _trial_prop1(cfg, rng, extras, trial):
         detail = {"n": n, "m": m}
         for tkind in TransformKind:
             lhs = transform(tkind, b_inv, a_inv, x, m)
-            rhs = (-1) ** m * power(b_inv, m) @ transform(tkind, b, a, x, m) @ power(a_inv, m)
+            b_inv_m, a_inv_m = np.linalg.matrix_power(b_inv, m), np.linalg.matrix_power(a_inv, m)
+            rhs = (-1) ** m * b_inv_m @ transform(tkind, b, a, x, m) @ a_inv_m
             checks.append(
                 (f"inverse_identity_{tkind.value}", frob(lhs - rhs), policy.zero_threshold(scale), detail)
             )

@@ -100,9 +100,14 @@ def delta(b: np.ndarray, a: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 
 
 def defect_growth(b: np.ndarray, a: np.ndarray) -> float:
-    """1 + ||A|| ||B||, the most one step of either map can grow a weight.
+    """1 + ||A|| ||B||, the most one triangle step X -> B X A - X can grow a
+    weight. A delta step X -> B X - X A can grow it by up to ||A|| + ||B||,
+    which is more when one norm lies above 1 and the other below it
+    (ROADMAP item 5).
 
-    An order-m defect of X is therefore at most ``growth**m * ||X||_F``.
+    An order-m triangle defect of X is therefore at most
+    ``growth**m * ||X||_F``, and so is a delta defect when
+    (||A|| - 1)(||B|| - 1) >= 0, as for B = A^*.
     """
     return 1.0 + spectral_norm(a) * spectral_norm(b)
 

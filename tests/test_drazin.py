@@ -204,6 +204,26 @@ class TestDecomposition:
             for r in dd.residuals_for(a):
                 assert r <= thr
 
+    def test_index_zero_residuals_take_the_identity_power(self):
+        # A^0 = I, so the third axiom reads A A_d = I
+        a = random_invertible(4, rng_for(1, 3))
+        dd = dz.core_nilpotent_decompose(a, P)
+        assert dd.p == 0
+        for r in dd.residuals_for(a):
+            assert r <= dz.axiom_threshold(a, 0, P)
+
+    def test_empty_operator_has_zero_residuals(self):
+        dd = dz.core_nilpotent_decompose(mc.zeros(0, 0), P)
+        assert dd.p == 0 and dd.residuals_for(mc.zeros(0, 0)) == (0.0, 0.0, 0.0)
+
+    def test_residuals_leave_the_operator_unchanged_at_index_one(self):
+        # numpy's A^1 is A itself, so no residual may write into it
+        a = mc.block_diag(2 * mc.eye(1), mc.zeros(1, 1))
+        kept = a.copy()
+        dd = dz.core_nilpotent_decompose(a, P)
+        assert dd.p == 1 and max(dd.residuals_for(a)) <= 1e-15
+        np.testing.assert_array_equal(a, kept)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_axiom_residuals_are_ill_conditioned(self):
         a = np.array([[0, 1e-10j], [1e200, 0]])

@@ -60,8 +60,8 @@ class TestRandomNilpotent:
     def test_exact_order(self):
         for seed, (n, q) in enumerate([(2, 2), (4, 2), (5, 3), (6, 4), (8, 4)]):
             nil = random_nilpotent(n, q, rng_for(seed, 20))
-            assert mc.frob(mc.power(nil, q)) == 0.0  # structural, not rounded
-            assert mc.frob(mc.power(nil, q - 1)) > 1e-3
+            assert mc.frob(np.linalg.matrix_power(nil, q)) == 0.0  # structural, not rounded
+            assert mc.frob(np.linalg.matrix_power(nil, q - 1)) > 1e-3
 
     def test_order_one_is_zero(self):
         np.testing.assert_array_equal(random_nilpotent(3, 1, rng_for(0, 21)), mc.zeros(3, 3))
@@ -269,7 +269,21 @@ class TestQuadruples:
             )
             a, nmat = inst.matrices["A"], inst.matrices["N"]
             assert mc.frob(a @ nmat - nmat @ a) <= 1e-10
-            assert mc.frob(mc.power(nmat, inst.meta["q"])) <= 1e-10
+            assert mc.frob(np.linalg.matrix_power(nmat, inst.meta["q"])) <= 1e-10
+
+    @pytest.mark.parametrize("conjugate, tol", [(True, 1e-10), (False, 0.0)],
+                             ids=["conjugated", "unconjugated"])
+    def test_power_placement_order_is_exact(self, conjugate, tol):
+        # N = c N_core^r has order q = ceil(qa / r): N^q vanishes (exactly,
+        # by support, when unconjugated) and N^(q-1) does not
+        for seed in range(6):
+            inst = make_nilpotent_perturbation(
+                rng_for(seed, 95), P, flavor="delta", na=5, nb=1, qa=5, m=1,
+                nil_placement="power", conjugate=conjugate,
+            )
+            nmat, q = inst.matrices["N"], inst.meta["q"]
+            assert mc.frob(np.linalg.matrix_power(nmat, q)) <= tol
+            assert mc.frob(np.linalg.matrix_power(nmat, q - 1)) > 1e-3
 
     @pytest.mark.parametrize(
         "build, error",

@@ -322,7 +322,7 @@ def _reference_kernel(kind, b, a, m, dd=None):
 def _singular_hermitian(rng):
     """A 7 x 7 Hermitian A of rank 5: B = A^* is then bitwise A itself, so
     the self pair takes the real form too, and its splitting is unitary
-    with a core block of 5 x 5 weights, large enough for the real form."""
+    with a core block of 5 x 5 weights."""
     u = random_unitary(7, rng)
     h = u @ np.diag([2.0, -0.5, 1.5, 1.0, -1.2, 0.0, 0.0]).astype(complex) @ mc.adjoint(u)
     return (h + mc.adjoint(h)) / 2
@@ -352,7 +352,7 @@ class TestKernelSvds:
     @pytest.mark.parametrize(
         "kind, sel, values, full",
         [
-            (TK.TRIANGLE, "adjoint", ["c8", "c8", "c12", "f36", "c4"], []),
+            (TK.TRIANGLE, "adjoint", ["c8", "c8", "c12", "f36", "f4"], []),
             (TK.DELTA, "drazin-adjoint", ["c12", "c12", "c36", "c4", "c8", "c8"], ["c4"]),
         ],
         ids=["triangle-adjoint", "delta-drazin-adjoint"],
@@ -362,8 +362,7 @@ class TestKernelSvds:
         # size 36, 12, 12 and 4; at order 2 only the delta map's (nil, nil)
         # block has a kernel. The two 8 x 8 SVDs are ||A||_2 and ||B||_2 of
         # the zero floor. Each SVD is recorded as dtype kind ("c" complex,
-        # "f" real) and size; the 2 x 2 (nil, nil) weights are too few for
-        # the real form to pay.
+        # "f" real) and size.
         a = make_drazin_block(6, 2, 2, rng_for(14, 108), P).matrices["A"]
         dd = dz.core_nilpotent_decompose(a, P)
         b = dz.PairSelector(sel).partner(a, dd.a_d)
@@ -379,6 +378,25 @@ class TestKernelSvds:
         monkeypatch.undo()
         assert sorted(seen[False]) == sorted(values) and seen[True] == full
         assert basis.dim == sum(int(x[1:]) for x in full)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_adjoint_pair_takes_real_values_at_every_size(self, n, monkeypatch):
+        # the dense map of n x n weights: one real SVD of size n^2, next to
+        # the zero floor's two complex n x n SVDs
+        a = _cgauss(rng_for(17, 113, n), n)
+        svd = np.linalg.svd
+        seen = []
+
+        def counting(x, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                seen.append(f"{x.dtype.kind}{x.shape[0]}")
+            return svd(x, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for kind in TK:
+            seen.clear()
+            kn.kernel(kind, mc.adjoint(a), a, 2, P)
+            assert sorted(seen) == sorted([f"c{n}", f"c{n}", f"f{n * n}"])
 
     def test_hermitian_frame_is_unitary_and_real_form_drops_rounding(self):
         rng = rng_for(16, 112)

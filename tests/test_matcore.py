@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcheck import matcore as mc
-from opcheck.errors import DimensionMismatch, IllConditioned, NotSquare, ParseError, Singular
+from opcheck.errors import DimensionMismatch, IllConditioned, ParseError, Singular
 
 P = mc.DEFAULT_POLICY
 
@@ -50,38 +50,6 @@ class TestAdjoint:
         lhs = mc.adjoint(a @ b)
         rhs = mc.adjoint(b) @ mc.adjoint(a)
         assert mc.frob(lhs - rhs) <= 1e-13 * (1 + mc.frob(a) * mc.frob(b))
-
-
-class TestMatmulPower:
-    def test_power_jordan(self):
-        np.testing.assert_allclose(mc.power(JORDAN2, 3), np.array([[1, 3], [0, 1]]))
-
-    def test_power_nilpotent(self):
-        np.testing.assert_array_equal(mc.power(E12, 2), np.zeros((2, 2)))
-
-    def test_power_zero_is_identity(self):
-        np.testing.assert_array_equal(mc.power(_cgauss(_rng(1), 4, 4), 0), mc.eye(4))
-
-    def test_power_not_square(self):
-        with pytest.raises(NotSquare):
-            mc.power(np.ones((2, 3)), 2)
-
-    def test_power_negative_exponent(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            mc.power(mc.eye(2), -1)
-
-    def test_power_additivity(self):
-        rng = _rng(7)
-        for _ in range(20):
-            m = _cgauss(rng, 4, 4)
-            j, k = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            lhs = mc.power(m, j + k)
-            rhs = mc.power(m, j) @ mc.power(m, k)
-            scale = max(1.0, mc.spectral_norm(m)) ** (j + k)
-            assert mc.frob(lhs - rhs) <= P.rtol * scale * 10
-
-    def test_power_empty(self):
-        np.testing.assert_array_equal(mc.power(mc.zeros(0, 0), 3), mc.zeros(0, 0))
 
 
 class TestRankAndBases:

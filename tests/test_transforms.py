@@ -145,6 +145,33 @@ def test_defect_is_residual_and_threshold_of_one_operand_set():
             assert thr == tf.defect_threshold(P, tf.defect_growth(b, a), m, mc.frob(x))
 
 
+@pytest.mark.parametrize("kind", list(tf.TransformKind), ids=lambda k: k.value)
+def test_inverse_pair_identity(kind):
+    # Proposition 1's identity T_m(B^-1, A^-1) X = (-1)^m B^-m T_m(B, A) X A^-m,
+    # exact on unit-triangular integer operators with integer inverses
+    a, a_inv = np.array([[1, 2], [0, 1]], dtype=complex), np.array([[1, -2], [0, 1]], dtype=complex)
+    b, b_inv = np.array([[1, 0], [3, 1]], dtype=complex), np.array([[1, 0], [-3, 1]], dtype=complex)
+    x = np.array([[2, -1], [5, 3]], dtype=complex)
+    for m in (1, 2, 3, 4):
+        lhs = tf.transform(kind, b_inv, a_inv, x, m)
+        b_inv_m, a_inv_m = np.linalg.matrix_power(b_inv, m), np.linalg.matrix_power(a_inv, m)
+        np.testing.assert_array_equal(lhs, (-1) ** m * b_inv_m @ tf.transform(kind, b, a, x, m) @ a_inv_m)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 5: a delta step grows a weight by up to ||A|| + ||B||, more than "
+    "defect_growth = 1 + ||A|| ||B|| when one norm lies above 1 and the other below; at "
+    "B = 4I, A = diag(1, -1)/4, X = E12 the defect is 4.25^m against growth^m = 2^m",
+)
+def test_delta_defect_is_at_most_growth_to_the_order():
+    b, a = 4 * I2, np.diag([0.25, -0.25]).astype(complex)
+    growth = tf.defect_growth(b, a)
+    for m in (1, 2, 3):
+        assert mc.frob(tf.delta(b, a, E12, m)) <= growth**m * mc.frob(E12)
+
+
 def test_is_member_agrees_with_defect():
     rng = np.random.default_rng(8)
     h = _cgauss(rng, 3)
