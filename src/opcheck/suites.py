@@ -12,13 +12,12 @@ own key-split stream ``rng_for(seed, lane, t)`` and records what it found
 in an ``extras`` dict of its own, so no trial sees another's state.
 ``run_suite`` therefore fans the trials out over the CPUs in the process's
 affinity mask: it splits them into one contiguous block per CPU (at most
-one per trial), runs the first block itself and each other block in a
-forked worker, which pickles its per-trial records back through a pipe.
-The records are then reduced in trial order, exactly as a serial loop
-would, so the report is byte-identical at any CPU count. With one CPU, one
-trial or no ``fork`` the same trial loop runs in the calling process. An
-exception that ends a block escapes ``run_suite`` with its type, the one
-from the lowest trial winning, and every worker is reaped either way.
+one per trial), runs the first block itself and the others on a process
+pool of forked workers, and reduces the records in trial order, exactly as
+a serial loop would, so the report is byte-identical at any CPU count. With
+one CPU, one trial or no ``fork`` the same loop runs in the calling process,
+which never imports the pool. An error escapes once every worker is joined,
+a worker's with its traceback, a dead worker's without its exit code.
 """
 
 from __future__ import annotations
@@ -733,56 +732,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _send_trials(cfg: SuiteConfig, trials: range, conn) -> None:
-    """A worker's body: send ``(True, records)``, or ``(False, exc)`` for
-    the exception that ended its block."""
-    try:
-        result = (True, _run_trials(cfg, trials))
-    except BaseException as exc:
-        result = (False, exc)
-    conn.send(result)
-
-
 def _fan_out(cfg: SuiteConfig) -> list:
     """``_run_trials`` over all trials, in contiguous blocks: the calling
-    process runs the first, one forked worker runs each other block."""
+    process runs the first, a pool of forked workers the others. An
+    exception escapes with its type, the lowest block's winning, and only
+    once the pool has joined every worker, so one from the caller's own
+    block waits for the worker blocks. A worker's carries its traceback as
+    ``__cause__``; a dead worker's names its trials but not its exit code."""
     workers = min(_cpu_count(), cfg.trials)
     if workers == 1 or not hasattr(os, "fork"):
         return _run_trials(cfg, range(cfg.trials))
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
 
-    ctx = multiprocessing.get_context("fork")
     bounds = [cfg.trials * w // workers for w in range(workers + 1)]
     blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    children = []
-    try:
-        for block in blocks[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_trials, args=(cfg, block, send))
-            proc.start()
-            send.close()  # the worker holds the only write end, so its death reads as EOF
-            children.append((block, proc, recv))
+    with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork")) as pool:
+        futures = [pool.submit(_run_trials, cfg, block) for block in blocks[1:]]
         records = _run_trials(cfg, blocks[0])
-        for block, proc, recv in children:
+        for block, future in zip(blocks[1:], futures):
             try:
-                ok, result = recv.recv()
-            except EOFError:
-                proc.join()
+                records += future.result()
+            except BrokenProcessPool:
                 raise ChildProcessError(
                     f"suite {cfg.suite}: the worker for trials {block.start}..{block.stop - 1} "
-                    f"exited with code {proc.exitcode} before sending its results"
+                    "exited before sending its results"
                 ) from None
-            if not ok:
-                raise result
-            records += result
-    except BaseException:
-        for _, proc, _ in children:
-            proc.terminate()
-        raise
-    finally:
-        for _, proc, recv in children:
-            recv.close()
-            proc.join()
     return records
 
 
@@ -827,7 +803,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 {"skips": skips, "generation_failures": genfails},
             )
         )
-    report = SuiteReport(
+    return SuiteReport(
         suite=cfg.suite,
         config=cfg,
         trials=cfg.trials,
@@ -840,4 +816,3 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         anomalies=anomalies,
         generation_errors=generation_errors,
     )
-    return report

@@ -4,10 +4,14 @@ generation-failure accounting) behave as documented."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import opcheck.suites as su
+from opcheck.cli import main
 from opcheck.errors import GenerationFailed, UnknownSuite
 from opcheck.generators import rng_for
 from opcheck.suites import SuiteConfig, SuiteReport, available_suites, run_suite
@@ -253,17 +257,60 @@ def test_the_lowest_trials_exception_wins(bad, monkeypatch, forks):
     _assert_reaped(forks)
 
 
-def test_a_worker_that_dies_is_reported_not_waited_for(monkeypatch, forks):
-    def dies(cfg, rng, extras, trial):
-        if trial == 5:
-            os._exit(7)
-        return [("ok", 0.0, 1.0, {})]
+def _dies_at_trial_5(cfg, rng, extras, trial):
+    if trial == 5:
+        os._exit(7)
+    return [("ok", 0.0, 1.0, {})]
 
-    monkeypatch.setitem(su._SUITES, "thm1", dies)
+
+def test_a_worker_that_dies_is_reported_not_waited_for(monkeypatch, forks):
+    monkeypatch.setitem(su._SUITES, "thm1", _dies_at_trial_5)
     _cpus(monkeypatch, 2)
-    with pytest.raises(ChildProcessError, match=r"trials 4\.\.7 exited with code 7"):
+    with pytest.raises(ChildProcessError, match=r"trials 4\.\.7 exited before sending its results"):
         run_suite(SuiteConfig(suite="thm1", trials=8, seed=0))
     _assert_reaped(forks)
+
+
+def test_a_dead_worker_ends_verify_with_exit_1_and_no_traceback(monkeypatch, forks, capfd):
+    monkeypatch.setitem(su._SUITES, "thm1", _dies_at_trial_5)
+    _cpus(monkeypatch, 2)
+    assert main(["verify", "--suite", "thm1", "--trials", "8"]) == 1
+    out, err = capfd.readouterr()
+    assert err.startswith("opcheck: error: suite thm1: the worker for trials 4..7 ")
+    assert "Traceback" not in out + err
+    _assert_reaped(forks)
+
+
+def test_a_workers_exception_carries_its_remote_traceback(monkeypatch, forks):
+    def raises_in_worker(cfg, rng, extras, trial):
+        if trial == 6:
+            raise ValueError(f"trial {trial}")
+        return [("ok", 0.0, 1.0, {})]
+
+    monkeypatch.setitem(su._SUITES, "thm1", raises_in_worker)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="trial 6") as info:
+        run_suite(SuiteConfig(suite="thm1", trials=8, seed=0))
+    assert "raises_in_worker" in str(info.value.__cause__)
+    _assert_reaped(forks)
+
+
+def test_a_serial_run_never_loads_the_pool():
+    code = (
+        "import os, sys\n"
+        "import opcheck\n"
+        "from opcheck.suites import SuiteConfig, run_suite\n"
+        "cfg = SuiteConfig(suite='remark3', trials=2, seed=0)\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "run_suite(cfg)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        # a two-CPU run does load it, so the check above can see the pool
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "run_suite(cfg)\n"
+        "assert 'concurrent.futures.process' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(su.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_one_trial_forks_nothing(monkeypatch, forks):
