@@ -31,6 +31,14 @@ CASES = {
     "drazin_block_2_3_2": lambda: gen.make_drazin_block(2, 3, 2, rng_for(0, 40), P, conjugate=True),
     "drazin_block_3_0_0": lambda: gen.make_drazin_block(3, 0, 0, rng_for(1, 41), P),
     "drazin_block_0_3_3": lambda: gen.make_drazin_block(0, 3, 3, rng_for(2, 42), P, conjugate=True),
+    **{
+        f"drazin_block_{spectrum}": (
+            lambda spectrum=spectrum, lane=lane: gen.make_drazin_block(
+                3, 2, 2, rng_for(lane, 43), P, spectrum=spectrum
+            )
+        )
+        for lane, spectrum in enumerate(("unitary", "signs", "selfadjoint", "real", "reciprocal"))
+    },
     "ab_zero_plain": lambda: gen.make_ab_zero_pair(2, 4, rng_for(0, 50), P),
     "ab_zero_conjugate": lambda: gen.make_ab_zero_pair(2, 4, rng_for(1, 51), P, conjugate=True),
     "ab_zero_tail": lambda: gen.make_ab_zero_pair(2, 5, rng_for(2, 52), P, invertible_tail=True),
@@ -42,6 +50,9 @@ CASES = {
     "remark3": lambda: gen.make_remark3_counterexample(rng_for(0, 70), P),
     "commuting_core_weight": lambda: gen.make_commuting_core_weight(
         rng_for(0, 80), P, n1=3, n2=2, p=2, m=2
+    ),
+    "commuting_core_weight_plain": lambda: gen.make_commuting_core_weight(
+        rng_for(1, 81), P, n1=3, n2=2, p=2, m=2, conjugate=False
     ),
     "quadruple_triangle_drazin": lambda: gen.make_commuting_quadruple(
         rng_for(0, 90), P, flavor="triangle-drazin", dims=(2, 2, 1, 1), qa=2, qb=1, m=3, n=1
