@@ -15,6 +15,10 @@ Commutation-constrained families (the product/sum and AB = 0 instance
 sets) are built constructively on block layouts where the constraints hold
 exactly, never by rejection sampling over dense matrices: the constraint
 sets have measure zero, so rejection would not terminate.
+
+Builders place an instance through ``_conjugated`` only: one Haar unitary U
+per placed instance, drawn after all of its blocks, maps each matrix M to
+U M U*; when ``conjugate`` is false, U = I and nothing is drawn.
 """
 
 from __future__ import annotations
@@ -139,9 +143,7 @@ class InstanceSpec:
 
 def _plain(value):
     """Coerce meta values to JSON-encodable types."""
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
@@ -242,18 +244,13 @@ def random_invertible(
         # from zero, so powers of the core never lose rank numerically.
         lam = rng.uniform(0.55, 1.9, size=n) * np.exp(2j * math.pi * rng.random(n))
         t = np.diag(lam.astype(np.complex128)) + 0.35 * np.triu(_cgauss(rng, n, n), 1)
-        u = random_unitary(n, rng)
-        return u @ t @ adjoint(u)
+        return _conjugated(rng, True, t)[1]
     if spectrum == "unitary":
         return random_unitary(n, rng)
-    if spectrum == "signs":
+    if spectrum in ("signs", "selfadjoint"):
         v = random_unitary(n, rng)
-        d = np.where(rng.random(n) < 0.5, -1.0, 1.0).astype(np.complex128)
-        return v @ np.diag(d) @ adjoint(v)
-    if spectrum == "selfadjoint":
-        v = random_unitary(n, rng)
-        d = np.array(_distinct_reals(rng, n), dtype=np.complex128)
-        return v @ np.diag(d) @ adjoint(v)
+        d = np.where(rng.random(n) < 0.5, -1.0, 1.0) if spectrum == "signs" else _distinct_reals(rng, n)
+        return v @ np.diag(np.array(d, dtype=np.complex128)) @ adjoint(v)
     if spectrum in ("real", "reciprocal"):
         d = _reciprocal_reals(rng, n) if spectrum == "reciprocal" else _distinct_reals(rng, n)
         u = random_unitary(n, rng)
@@ -305,12 +302,14 @@ def _nil_summand(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _conjugated(rng: np.random.Generator, conjugate: bool, *mats: np.ndarray) -> tuple:
-    """U M U* for each M with one Haar unitary U drawn here, or the
-    matrices unchanged when ``conjugate`` is false (no draw)."""
+    """The one Haar placement: ``(U, U M1 U*, U M2 U*, ...)`` with one Haar
+    unitary U drawn here, after the caller has drawn every M. When
+    ``conjugate`` is false it returns ``(I, M1, M2, ...)`` and draws nothing."""
+    n = mats[0].shape[0]
     if not conjugate:
-        return mats
-    u = random_unitary(mats[0].shape[0], rng)
-    return tuple(u @ t @ adjoint(u) for t in mats)
+        return (eye(n), *mats)
+    u = random_unitary(n, rng)
+    return (u, *(u @ t @ adjoint(u) for t in mats))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +344,7 @@ def make_drazin_block(
     def build():
         a1 = random_invertible(n1, rng, spectrum)
         a2 = random_nilpotent(n2, p, rng) if n2 else zeros(0, 0)
-        a0 = block_diag(a1, a2)
-        u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
-        a = u @ a0 @ adjoint(u)
+        u, a = _conjugated(rng, conjugate, block_diag(a1, a2))
         dd = core_nilpotent_decompose(a, policy)
         checks = [
             ("index", abs(dd.p - p), 0.5),
@@ -410,23 +407,22 @@ def make_ab_zero_pair(
         mb = random_invertible(h2c, rng, "real")
         a = block_diag(a1, na, zeros(h2b, h2b), zeros(h2c, h2c))
         b = block_diag(zeros(n1, n1), zeros(h2a, h2a), nb, mb)
-        u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
-        a_full, b_full = u @ a @ adjoint(u), u @ b @ adjoint(u)
-        dd_a = core_nilpotent_decompose(a_full, policy)
-        dd_b = core_nilpotent_decompose(b_full, policy)
+        u, a, b = _conjugated(rng, conjugate, a, b)
+        dd_a = core_nilpotent_decompose(a, policy)
+        dd_b = core_nilpotent_decompose(b, policy)
         certified = _certify(
             [
-                ("ab_product", frob(a_full @ b_full), policy.atol),
-                ("ba_product", frob(b_full @ a_full), policy.atol),
-                ("commutator", frob(a_full @ b_full - b_full @ a_full), policy.atol),
+                ("ab_product", frob(a @ b), policy.atol),
+                ("ba_product", frob(b @ a), policy.atol),
+                ("commutator", frob(a @ b - b @ a), policy.atol),
                 ("index_A", abs(dd_a.p - qa), 0.5),
                 ("index_B", abs(dd_b.p - qb), 0.5),
             ]
         )
         return GeneratedInstance(
             matrices={
-                "A": a_full,
-                "B": b_full,
+                "A": a,
+                "B": b,
                 "A1": a1,
                 "A2": block_diag(na, zeros(h2b, h2b), zeros(h2c, h2c)),
                 "B22": block_diag(zeros(h2a, h2a), nb, mb),
@@ -464,18 +460,16 @@ def make_scalar_plus_nilpotent(
         nil = random_nilpotent(n, q, rng)
         a = complex(s) * eye(n) + nil
         m = 2 * q - 1
-        checks = []
-        ident = eye(n)
-        b = adjoint(a)
-        if abs(complex(s).imag) < 1e-15:
-            checks.append(
-                ("selfadjoint_defect", *defect(TransformKind.DELTA, b, a, ident, m, policy))
-            )
-        if abs(abs(complex(s)) - 1.0) < 1e-15:
-            checks.append(
-                ("isometry_defect", *defect(TransformKind.TRIANGLE, b, a, ident, m, policy))
-            )
-        certified = _certify(checks)
+        certified = _certify(
+            [
+                (name, *defect(kind, adjoint(a), a, eye(n), m, policy))
+                for name, kind, holds in (
+                    ("selfadjoint_defect", TransformKind.DELTA, abs(complex(s).imag) < 1e-15),
+                    ("isometry_defect", TransformKind.TRIANGLE, abs(abs(complex(s)) - 1.0) < 1e-15),
+                )
+                if holds
+            ]
+        )
         return GeneratedInstance(
             matrices={"A": a, "N": nil},
             certified=certified,
@@ -558,9 +552,7 @@ def make_commuting_core_weight(
         )
         x11 = v @ np.diag(f) @ adjoint(v)
         a2 = random_nilpotent(n2, p, rng)
-        u = random_unitary(n1 + n2, rng) if conjugate else eye(n1 + n2)
-        a = u @ block_diag(a1, a2) @ adjoint(u)
-        x = u @ block_diag(x11, zeros(n2, n2)) @ adjoint(u)
+        u, a, x = _conjugated(rng, conjugate, block_diag(a1, a2), block_diag(x11, zeros(n2, n2)))
         dd = core_nilpotent_decompose(a, policy)
         b = adjoint(dd.a_d)
         certified = _certify(
@@ -664,7 +656,7 @@ def make_commuting_quadruple(
             x = block_diag(x_ca, c * eye(ncb), zeros(nna, nna), zeros(nnb, nnb))
             y = block_diag(d * eye(nca), y_cb, zeros(nna, nna), zeros(nnb, nnb))
 
-        a, b, x, y = _conjugated(rng, conjugate, a, b, x, y)
+        _, a, b, x, y = _conjugated(rng, conjugate, a, b, x, y)
         checks = [
             ("defect_A_X", *defect(kind, resolve_pair(a, sel, policy), a, x, m, policy)),
             ("defect_B_Y", *defect(kind, resolve_pair(b, sel, policy), b, y, n, policy)),
@@ -729,13 +721,12 @@ def make_disjoint_quadruple(
         a = block_diag(a_core, nil_a, zeros(n1b, n1b), zeros(nsb, nsb))
         b = block_diag(zeros(n1a, n1a), zeros(nsa, nsa), b_core, nil_b)
 
-        pair_a, pair_b = (resolve_pair(t, sel, policy) for t in (a_core, b_core))
-        x_a = _kernel_sample_block(kind, pair_a, a_core, m, policy, rng)
-        y_b = _kernel_sample_block(kind, pair_b, b_core, n, policy, rng)
+        x_a = _kernel_sample_block(kind, resolve_pair(a_core, sel, policy), a_core, m, policy, rng)
+        y_b = _kernel_sample_block(kind, resolve_pair(b_core, sel, policy), b_core, n, policy, rng)
         x = block_diag(x_a, zeros(nsa, nsa), zeros(n1b, n1b), zeros(nsb, nsb))
         y = block_diag(zeros(n1a, n1a), zeros(nsa, nsa), y_b, zeros(nsb, nsb))
 
-        a, b, x, y = _conjugated(rng, conjugate, a, b, x, y)
+        _, a, b, x, y = _conjugated(rng, conjugate, a, b, x, y)
         dd = core_nilpotent_decompose(a, policy) if sel.needs_drazin else None
         ba_full = sel.partner(a, dd.a_d if dd else None)
         checks = [
@@ -815,7 +806,7 @@ def make_nilpotent_perturbation(
             pert = block_diag(coeff * np.linalg.matrix_power(core_nil, r), zeros(nb, nb))
             q = -(-qa // r)  # ceil(qa / r): exact nilpotency order of core_nil^r
 
-        a, x, pert = _conjugated(rng, conjugate, a, x, pert)
+        _, a, x, pert = _conjugated(rng, conjugate, a, x, pert)
         b = adjoint(a)
         certified = _certify(
             [
@@ -884,15 +875,15 @@ def make_product_pairs(
         alpha2, beta2, xi2 = one_pair(families[1], nb, qb, m2)
         # scalar continuations: pair-i operators act as reciprocal scalars
         # on the other pair's block, so transforms cancel there exactly
-        w1 = _unit_modulus(rng) if families[0] == "adjoint" else complex(rng.uniform(0.6, 1.6))
-        w2 = _unit_modulus(rng) if families[1] == "adjoint" else complex(rng.uniform(0.6, 1.6))
+        w1, w2 = (_unit_modulus(rng) if fam == "adjoint" else complex(rng.uniform(0.6, 1.6))
+                  for fam in families)
         a1 = block_diag(alpha1, w1 * eye(nb))
         b1 = block_diag(beta1, (1.0 / w1) * eye(nb))
         a2 = block_diag(w2 * eye(na), alpha2)
         b2 = block_diag((1.0 / w2) * eye(na), beta2)
         x1 = block_diag(xi1, _weight_scalar(rng) * eye(nb))
         x2 = block_diag(_weight_scalar(rng) * eye(na), xi2)
-        a1, b1, x1, a2, b2, x2 = _conjugated(rng, conjugate, a1, b1, x1, a2, b2, x2)
+        _, a1, b1, x1, a2, b2, x2 = _conjugated(rng, conjugate, a1, b1, x1, a2, b2, x2)
 
         certified = _certify(
             [
@@ -995,8 +986,5 @@ def generate(spec: InstanceSpec, policy: NumericPolicy = DEFAULT_POLICY) -> Gene
         n1 = spec.dims[0] if spec.dims else 2
         return make_remark3_counterexample(rng, policy, n1=n1)
 
-    if fam == Family.SCALAR_PLUS_NILPOTENT:
-        s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
-        return make_scalar_plus_nilpotent(spec.dims[0], spec.orders[0], s, rng, policy)
-
-    raise InvalidOrder(f"unhandled family {fam}")
+    s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)  # Family.SCALAR_PLUS_NILPOTENT
+    return make_scalar_plus_nilpotent(spec.dims[0], spec.orders[0], s, rng, policy)

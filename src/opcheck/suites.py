@@ -17,7 +17,8 @@ pool of forked workers, and reduces the records in trial order, exactly as
 a serial loop would, so the report is byte-identical at any CPU count. With
 one CPU, one trial or no ``fork`` the same loop runs in the calling process,
 which never imports the pool. An error escapes once every worker is joined,
-a worker's with its traceback, a dead worker's without its exit code.
+a worker's with its traceback, a dead worker's without its exit code and
+naming every block whose results the broken pool lost.
 """
 
 from __future__ import annotations
@@ -738,7 +739,9 @@ def _fan_out(cfg: SuiteConfig) -> list:
     exception escapes with its type, the lowest block's winning, and only
     once the pool has joined every worker, so one from the caller's own
     block waits for the worker blocks. A worker's carries its traceback as
-    ``__cause__``; a dead worker's names its trials but not its exit code."""
+    ``__cause__``. A dead worker breaks the pool, which fails every pending
+    block alike, so its error names every block whose results were lost
+    ("trials 3..5 or 6..8"), the dead one among them, but no exit code."""
     workers = min(_cpu_count(), cfg.trials)
     if workers == 1 or not hasattr(os, "fork"):
         return _run_trials(cfg, range(cfg.trials))
@@ -751,12 +754,17 @@ def _fan_out(cfg: SuiteConfig) -> list:
     with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork")) as pool:
         futures = [pool.submit(_run_trials, cfg, block) for block in blocks[1:]]
         records = _run_trials(cfg, blocks[0])
-        for block, future in zip(blocks[1:], futures):
+        for future in futures:
             try:
                 records += future.result()
             except BrokenProcessPool:
+                lost = " or ".join(
+                    f"{block.start}..{block.stop - 1}"
+                    for block, f in zip(blocks[1:], futures)
+                    if isinstance(f.exception(), BrokenProcessPool)
+                )
                 raise ChildProcessError(
-                    f"suite {cfg.suite}: the worker for trials {block.start}..{block.stop - 1} "
+                    f"suite {cfg.suite}: the worker for trials {lost} "
                     "exited before sending its results"
                 ) from None
     return records

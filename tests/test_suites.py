@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,25 @@ def test_a_worker_that_dies_is_reported_not_waited_for(monkeypatch, forks):
     _cpus(monkeypatch, 2)
     with pytest.raises(ChildProcessError, match=r"trials 4\.\.7 exited before sending its results"):
         run_suite(SuiteConfig(suite="thm1", trials=8, seed=0))
+    _assert_reaped(forks)
+
+
+def _dies_at_trial_7(cfg, rng, extras, trial):
+    if trial == 3:
+        time.sleep(0.5)  # the worker for trials 3..5 is still busy when 6..8's dies
+    if trial == 7:
+        os._exit(3)
+    return [("ok", 0.0, 1.0, {})]
+
+
+def test_a_dead_worker_is_named_among_the_lost_blocks(monkeypatch, forks):
+    # blocks of trials 0-2 (run by the caller), 3-5 and 6-8; the broken pool
+    # fails both worker blocks, and the one that died must be named
+    monkeypatch.setitem(su._SUITES, "thm1", _dies_at_trial_7)
+    _cpus(monkeypatch, 3)
+    with pytest.raises(ChildProcessError, match=r"trials (3\.\.5 or )?6\.\.8 exited before sending"):
+        run_suite(SuiteConfig(suite="thm1", trials=9, seed=0))
+    assert len(forks) == 2
     _assert_reaped(forks)
 
 
