@@ -81,18 +81,18 @@ def main(argv: list) -> int:
               file=sys.stderr)
         return 2
     other = Path(argv[0]).resolve()
+    mine = runs(HERE)
     differ = 0
-    for (name, mine), theirs in zip(runs(HERE).items(), runs(other).values()):
-        a, b = outcome(HERE, mine), outcome(other, theirs)
-        diffs = [key for key in a if a[key] != b[key]]
-        if a["files"] != b["files"]:
-            names = sorted(k for k in {*a["files"], *b["files"]}
-                           if a["files"].get(k) != b["files"].get(k))
-            diffs[diffs.index("files")] = "files " + ", ".join(names)
+    for (name, argv_mine), argv_other in zip(mine.items(), runs(other).values()):
+        a, b = outcome(HERE, argv_mine), outcome(other, argv_other)
+        diffs = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
+        files = sorted(k for k in {*a["files"], *b["files"]} if a["files"].get(k) != b["files"].get(k))
+        if files:
+            diffs.append("files " + ", ".join(files))
         differ += bool(diffs)
         detail = f"differ in {'; '.join(diffs)}" if diffs else "identical"
         print(f"{name:32s} exit {a['exit']}, {len(a['files'])} files: {detail}", flush=True)
-    print(f"{differ} of {len(runs(HERE))} runs differ from {other}")
+    print(f"{differ} of {len(mine)} runs differ from {other}")
     return 1 if differ else 0
 
 
