@@ -22,7 +22,6 @@ from .drazin import (
 from .kernels import (
     ClassificationResult,
     KernelBasis,
-    is_member,
     kernel,
     minimal_order,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "KernelBasis",
     "ClassificationResult",
     "kernel",
-    "is_member",
     "minimal_order",
     "Family",
     "InstanceSpec",

@@ -204,6 +204,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _distinct_reals(rng, n, lo=0.55, hi=1.9, gap=0.04, signs=True) -> list[float]:
+    gap = min(gap, (hi - lo) / (4 * max(n, 1)))  # n draws then rule out at most half of [lo, hi]
     vals: list[float] = []
     guard = 0
     while len(vals) < n:
@@ -479,6 +480,10 @@ def make_scalar_plus_nilpotent(
     return _with_retries(build)
 
 
+REMARK3_DELTA_MAX = 1e-9  # the witness's order-3 delta defect is at most this,
+REMARK3_TRIANGLE_MIN = 0.5  # and its order-3 triangle defect at least this
+
+
 def make_remark3_counterexample(
     rng: np.random.Generator,
     policy: NumericPolicy = DEFAULT_POLICY,
@@ -509,8 +514,8 @@ def make_remark3_counterexample(
         neg = frob(triangle(adjoint(dd.a_d), a, x, 3))
         certified = _certify(
             [
-                ("delta3_defect", pos, 1e-9),
-                ("triangle3_norm_shortfall", max(0.0, 0.5 - neg), 0.0),
+                ("delta3_defect", pos, REMARK3_DELTA_MAX),
+                ("triangle3_norm_shortfall", max(0.0, REMARK3_TRIANGLE_MIN - neg), 0.0),
             ]
         )
         return GeneratedInstance(

@@ -1,5 +1,4 @@
-"""Weight-space computations: the vectorized transform matrix, its kernel,
-class membership tests, and minimal-order search.
+"""Weight-space computations: the vectorized transform matrix, its kernel and the order scan.
 
 Under column-major vectorization, ``vec(B X A) = (A^T kron B) vec(X)``, so
 both transforms become n^2 x n^2 matrices acting on vec(X). Each is built
@@ -58,13 +57,12 @@ from .matcore import (
     frob,
     matrix_to_json,
 )
-from .transforms import TransformKind, _operands, _step, defect, defect_growth, defect_threshold
+from .transforms import TransformKind, _operands, _step, defect_growth, defect_threshold
 
 __all__ = [
     "KernelBasis",
     "ClassificationResult",
     "kernel",
-    "is_member",
     "minimal_order",
 ]
 
@@ -265,16 +263,6 @@ def kernel(
     return KernelBasis(
         kind=kind, m=m, dim=dim, basis=basis, singular_values=sv, cutoff=cutoff, gap=gap
     )
-
-
-def is_member(
-    kind: TransformKind, b, a, x, m: int, policy: NumericPolicy = DEFAULT_POLICY
-) -> bool:
-    """True iff the order-m defect of (B, A) on X vanishes: for the triangle
-    transform A is left (X,m)-invertible by B, for delta B is an
-    (X,m)-adjoint of A."""
-    res, thr = defect(kind, b, a, x, m, policy)
-    return res <= thr
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def _spectral_rank(s: np.ndarray, rtol: float, floor: float = 0.0) -> int:
     """Rank from descending singular values: the number above
     ``max(rtol * s[0], floor)``, and 0 for an empty or zero spectrum. A
@@ -113,7 +109,8 @@ def _spectral_rank(s: np.ndarray, rtol: float, floor: float = 0.0) -> int:
 
 def rank(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Number of singular values above ``rank_rtol`` times the largest."""
-    return _spectral_rank(_singular_values(np.asarray(m, dtype=np.complex128)), policy.rank_rtol)
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
+    return _spectral_rank(s, policy.rank_rtol)
 
 
 def inverse(m: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -137,13 +134,13 @@ def frob(m: np.ndarray) -> float:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    s = _singular_values(np.asarray(m, dtype=np.complex128))
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
 def condition(m: np.ndarray) -> float:
     """2-norm condition number; inf when numerically singular, 1 for 0x0."""
-    s = _singular_values(np.asarray(m, dtype=np.complex128))
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
     if s.size == 0:
         return 1.0
     if s[-1] == 0.0:

@@ -47,6 +47,8 @@ from .errors import (
     UnknownSuite,
 )
 from .generators import (
+    REMARK3_DELTA_MAX,
+    REMARK3_TRIANGLE_MIN,
     _cgauss,
     make_ab_zero_pair,
     make_commuting_core_weight,
@@ -87,8 +89,6 @@ __all__ = ["SuiteConfig", "SuiteReport", "TrialFailure", "run_suite", "available
 EIGENVALUE_TOL = 1e-6
 OFFBLOCK_TOL = 1e-7
 WITNESS_FLOOR = 1e-3
-COUNTEREXAMPLE_POS = 1e-9
-COUNTEREXAMPLE_NEG = 0.5
 
 
 @dataclass(frozen=True)
@@ -580,8 +580,8 @@ def _trial_remark3(cfg, rng, extras, trial):
     pos, neg = inst.meta["delta3"], inst.meta["triangle3"]
     detail = {"delta3": pos, "triangle3": neg}
     return [
-        ("counterexample_positive_clause", pos, COUNTEREXAMPLE_POS, detail),
-        ("counterexample_negative_clause", max(0.0, COUNTEREXAMPLE_NEG - neg), 0.0, detail),
+        ("counterexample_positive_clause", pos, REMARK3_DELTA_MAX, detail),
+        ("counterexample_negative_clause", max(0.0, REMARK3_TRIANGLE_MIN - neg), 0.0, detail),
     ]
 
 

@@ -9,9 +9,12 @@ tree's ``src`` and in an empty working directory of its own:
 - ``opcheck verify --suite all --report`` at (200 trials, ``dim_max`` 6,
   seed 0) and at (100 trials, ``dim_max`` 8, seed 1);
 - ``opcheck example`` for every family at seed 5;
-- the ``setup(1, dir)`` of ``bench/workloads.py``'s kernel_desk and
-  classify_scan, which writes their input matrices (``bench/`` is only
-  read).
+- ``bench/workloads.py``'s kernel_desk and classify_scan in one process
+  each (``bench/`` is only read): ``setup(1, dir)`` writes their input
+  matrices, then every op the bench times runs once (``kernel --out`` at
+  order 2 for both transforms and the adjoint and drazin-adjoint pairs;
+  ``classify --json`` to order 6 for both transforms and all four pairs),
+  and ``drazin --json`` once per input.
 
 It compares the exit codes, stdout, stderr and every file each run writes,
 ignoring only the ``report ->`` line, prints one line per run and exits 1
@@ -36,14 +39,24 @@ EXAMPLES = {
     "scalar-plus-nilpotent": ("4", "2"),
 }
 
-# argv: the bench directory and the workload; prints one line per op
-SETUP = """
+# argv: the bench directory and the workload. Prints each op and its exit
+# code, stdout and stderr; a kernel basis is moved to out/ after its op.
+BENCH = """
 import sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from workloads import WORKLOADS
-for op in WORKLOADS[sys.argv[2]]().setup(1, Path("inputs")):
+from workloads import WORKLOADS, call_cli
+workload = WORKLOADS[sys.argv[2]]()
+ops = workload.setup(1, Path("inputs"))
+Path("out").mkdir()
+for i, op in enumerate(ops):
     print(op.path, op.n, op.kind, op.pair, op.family, op.p, op.q)
+    print(*workload.run(op), sep="\\n")
+    if getattr(workload, "out", None) and workload.out.is_file():
+        workload.out.rename(f"out/basis_{i:03d}.json")
+for path in sorted({op.path for op in ops}):
+    print(path, "drazin")
+    print(*call_cli(["drazin", str(path), "--json"]), sep="\\n")
 """
 
 
@@ -59,7 +72,7 @@ def runs(tree: Path) -> dict:
                                     "--dims", dims, "--orders", orders, "--seed", "5",
                                     "--out", "out"]
     for workload in ("kernel_desk", "classify_scan"):
-        out[f"setup {workload}"] = ["-c", SETUP, str(tree / "bench"), workload]
+        out[f"bench {workload}"] = ["-c", BENCH, str(tree / "bench"), workload]
     return out
 
 

@@ -110,6 +110,16 @@ class TestRandomInvertible:
             assert np.abs(np.linalg.eigvals(a)).min() >= 0.5
             assert mc.condition(a) <= 100
 
+    @pytest.mark.parametrize("spectrum", ["real", "selfadjoint", "reciprocal"])
+    def test_distinct_real_spectra_at_the_largest_desk_size(self, spectrum):
+        # the eigenvalue gap shrinks with n, so 64 distinct reals always fit
+        for seed in range(10):
+            a = random_invertible(64, rng_for(seed, 38), spectrum)
+            eig = np.linalg.eigvals(a)
+            assert np.abs(eig.imag).max() <= 1e-8
+            assert np.diff(np.sort(eig.real)).min() >= 1e-3
+            assert mc.condition(a) <= 10
+
     def test_unknown_spectrum(self):
         with pytest.raises(ValueError):
             random_invertible(3, rng_for(0, 36), "bogus")

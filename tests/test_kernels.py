@@ -1,5 +1,5 @@
 """Tests for the vectorized transform matrix, kernel extraction, membership
-predicates, and the minimal-order scan."""
+as ``defect`` decides it, and the minimal-order scan."""
 
 import math
 
@@ -38,6 +38,12 @@ TK = tf.TransformKind
 JORDAN2 = np.array([[1, 1], [0, 1]], dtype=complex)
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 NAN = np.array([[np.nan, 1], [0, 1]], dtype=complex)
+
+
+def _vanishes(kind, b, a, x, m):
+    """Whether the order-m defect of (B, A) on X vanishes under the policy."""
+    res, thr = tf.defect(kind, b, a, x, m, P)
+    return res <= thr
 
 
 def _cgauss(rng, n):
@@ -267,7 +273,7 @@ class TestSplitKernel:
                         assert split.dim == dense.dim == len(split.basis)
                         assert _largest_angle_sine(dense.basis, split.basis) <= 1e-6
                         for x in split.basis:
-                            assert kn.is_member(kind, b, a, x, m, P)
+                            assert _vanishes(kind, b, a, x, m)
 
     def test_oblique_splitting_takes_the_dense_path(self):
         a = _oblique(rng_for(12, 106))
@@ -454,20 +460,20 @@ class TestMembership:
     def test_identity_pair_always_member(self):
         rng = rng_for(2, 102)
         x = _cgauss(rng, 3)
-        assert kn.is_member(TK.TRIANGLE, mc.eye(3), mc.eye(3), x, 2, P)
+        assert _vanishes(TK.TRIANGLE, mc.eye(3), mc.eye(3), x, 2)
 
     def test_jordan_isometry_orders(self):
         b = mc.adjoint(JORDAN2)
-        assert kn.is_member(TK.TRIANGLE, b, JORDAN2, mc.eye(2), 3, P)
-        assert not kn.is_member(TK.TRIANGLE, b, JORDAN2, mc.eye(2), 2, P)
+        assert _vanishes(TK.TRIANGLE, b, JORDAN2, mc.eye(2), 3)
+        assert not _vanishes(TK.TRIANGLE, b, JORDAN2, mc.eye(2), 2)
 
     def test_adjoint_membership(self):
         rng = rng_for(3, 103)
         a = _cgauss(rng, 3)
-        assert kn.is_member(TK.DELTA, a, a, mc.eye(3), 2, P)
+        assert _vanishes(TK.DELTA, a, a, mc.eye(3), 2)
         h = (a + mc.adjoint(a)) / 2
-        assert kn.is_member(TK.DELTA, mc.adjoint(h), h, mc.eye(3), 1, P)
-        assert not kn.is_member(TK.DELTA, mc.adjoint(E12), E12, mc.eye(2), 2, P)
+        assert _vanishes(TK.DELTA, mc.adjoint(h), h, mc.eye(3), 1)
+        assert not _vanishes(TK.DELTA, mc.adjoint(E12), E12, mc.eye(2), 2)
 
 
 class TestMinimalOrder:
@@ -555,7 +561,6 @@ class TestOneThreshold:
         for kind in TK:
             for call in (
                 lambda: tf.defect(kind, b, a, x, 2, P),
-                lambda: kn.is_member(kind, b, a, x, 2, P),
                 lambda: kn.minimal_order(kind, b, a, x, 6, P),
                 lambda: kn.kernel(kind, b, a, 2, P),
             ):
@@ -564,7 +569,7 @@ class TestOneThreshold:
         if c == 1e200:
             # A is not selfadjoint; an order-1 residual and scale of inf passed
             with pytest.raises(IllConditioned):
-                kn.is_member(TK.DELTA, b, a, x, 1, P)
+                tf.defect(TK.DELTA, b, a, x, 1, P)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_residual_of_finite_operands_is_ill_conditioned(self):
@@ -626,8 +631,6 @@ class TestOneThreshold:
         for kind in TK:
             with pytest.raises(ParseError):
                 tf.defect(kind, ops["B"], ops["A"], ops["X"], 2, P)
-            with pytest.raises(ParseError):
-                kn.is_member(kind, ops["B"], ops["A"], ops["X"], 2, P)
 
 
 # entry moduli from the smallest to the largest normal exponents, both signs
@@ -693,7 +696,6 @@ def test_only_package_errors_escape_the_numeric_api(ops, kind, m, specs):
         lambda: tf.delta(b, a, x, m),
         lambda: tf.transform(kind, b, a, x, m),
         lambda: tf.defect(kind, b, a, x, m, P),
-        lambda: kn.is_member(kind, b, a, x, m, P),
         lambda: kn.kernel(kind, b, a, m, P),
         lambda: kn.minimal_order(kind, b, a, x, m, P),
         lambda: dz.index_of(a, P),

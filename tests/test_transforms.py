@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from opcheck import kernels as kn
 from opcheck import matcore as mc
 from opcheck import transforms as tf
 from opcheck.errors import DimensionMismatch, ParseError
@@ -170,26 +169,6 @@ def test_delta_defect_is_at_most_growth_to_the_order():
     growth = tf.defect_growth(b, a)
     for m in (1, 2, 3):
         assert mc.frob(tf.delta(b, a, E12, m)) <= growth**m * mc.frob(E12)
-
-
-def test_is_member_agrees_with_defect():
-    rng = np.random.default_rng(8)
-    h = _cgauss(rng, 3)
-    h = h + mc.adjoint(h)
-    cases = [
-        (tf.TransformKind.TRIANGLE, mc.adjoint(JORDAN2), JORDAN2, I2, m) for m in (2, 3)
-    ] + [
-        (tf.TransformKind.DELTA, mc.adjoint(E12), E12, I2, m) for m in (1, 2, 3)
-    ] + [
-        (tf.TransformKind.DELTA, mc.adjoint(h), h, mc.eye(3), 1),
-        (tf.TransformKind.TRIANGLE, *(_cgauss(rng, 3) for _ in range(3)), 2),
-    ]
-    verdicts = []
-    for kind, b, a, x, m in cases:
-        res, thr = tf.defect(kind, b, a, x, m, P)
-        assert kn.is_member(kind, b, a, x, m, P) == (res <= thr)
-        verdicts.append(res <= thr)
-    assert any(verdicts) and not all(verdicts)
 
 
 def test_dimension_mismatch_rejected():
